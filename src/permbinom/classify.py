@@ -114,10 +114,12 @@ def sporadic_census(q: int) -> Tuple[int, List[int]]:
 # ---------------------------------------------------------------------------
 
 # Recorded values, cross-checked against a Sylvester-determinant oracle and
-# an exhaustive root scan mod p.  Note the narrative of the source
-# classification quotes gcd = x+10 mod 29 and slightly different residues:
-# those refer to the reciprocal root (-10 = (-3)^(-1) mod 29) and contain
-# small arithmetic slips; the structural conclusions are identical.
+# an exhaustive root scan mod p.  The source's narrative quotes residues of
+# the reciprocal x^deg g(1/x) (root -10 = (-3)^(-1) mod 29), and
+# test_criterion_3_printed_narrative_values checks them there: gcd x+10 mod
+# 29 and the g_11 zero at -10 match; the published g_11(-1) = 12 mod 23 is
+# the recomputed 11 with the sign of g_11 flipped; the source of the
+# published g_14(-10) = 2 mod 29 (16 recomputed) is open.
 _EXPECTED_FACTORIZATION = {2: 5, 3: 35, 17: 2, 23: 1, 29: 1, 103: 1, 16069: 1}
 _EXPECTED_SURVIVORS = (2, 17, 23, 29)
 _EXPECTED_GCDS = {2: (0, 1), 17: (1,), 23: (1, 1), 29: (3, 1)}

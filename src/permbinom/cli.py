@@ -107,11 +107,7 @@ def cmd_hermite_profile(args) -> int:
         return EXIT_USAGE
     q = ctx.q
     sums = {alpha: hermite.s_q(ctx, a, alpha) for alpha in range(q)}
-    root_ok = (
-        ctx.pow(a, (q + 1) // 3) != 1
-        if (q + 1) % 3 == 0
-        else not hermite.has_nonzero_root(ctx, a)
-    )
+    root_ok = not hermite.has_nonzero_root(ctx, a)
     is_pp = root_ok and all(v == 0 for v in sums.values())
     payload = _report(
         args,

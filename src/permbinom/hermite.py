@@ -1,21 +1,25 @@
 """Power sums, coefficient sums S_q(alpha, a) and permutation tests for
 the binomial map x -> a*x + x^(3q-2) on F_{q^2}.
 
-Two independent permutation tests are provided:
+Two independent permutation tests are provided; both stop once the answer
+is known:
 
-- ``brute_pp_test``: the ground truth.  Evaluates the map literally at every
-  point and checks for collisions with a bitset.
+- ``brute_pp_test``: the ground truth.  Evaluates the map literally one point
+  at a time and returns at the first collision in a bitset.
 - ``hermite_pp_test``: the reduced power-sum criterion.  The map permutes
   F_{q^2} iff 0 is its only root and S_q(alpha, a) = 0 for all
   0 <= alpha <= q-1; only the exponents s = alpha + (q-1-alpha)q need
-  checking because all other power sums vanish identically.
+  checking because all other power sums vanish identically.  The root
+  condition is the closed form of ``has_nonzero_root``, one power of -a.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+import operator
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict
 
 from permbinom.ffield import FieldCtx, is_primitive_cube_root, lucas_binom
 
@@ -46,33 +50,17 @@ class BinomialMap:
         return ctx.add(ctx.mul(self.a, x), ctx.pow(x, self.exponent))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=2)
 def _power_table(ctx: FieldCtx, k: int) -> tuple:
-    """x^k for every x in the field, indexed by encoding."""
+    """x^k for every x in the field, indexed by encoding.  A sweep asks for
+    one field at a time, so two entries keep no q^2-tuples of past fields."""
     return tuple(ctx.pow(x, k) if x else 0 for x in range(ctx.q2))
-
-
-def image_table(ctx: FieldCtx, a: int) -> List[int]:
-    """[f(x) for every x], f = BinomialMap(ctx, a)."""
-    cube = _power_table(ctx, 3 * ctx.q - 2)
-    if ctx.p == 2:
-        exp, log = ctx._exp, ctx._log
-        if exp is not None:
-            la, m = log[a], ctx.q2 - 1
-            out = [0] * ctx.q2
-            for x in range(1, ctx.q2):
-                out[x] = exp[(la + log[x]) % m] ^ cube[x]
-            return out
-    mul, add = ctx.mul, ctx.add
-    return [add(mul(a, x), cube[x]) for x in range(ctx.q2)]
 
 
 def power_sum(ctx: FieldCtx, a: int, s: int) -> int:
     """Sum of f(x)^s over all x in F_{q^2} (ground-truth oracle)."""
-    if a == 0:
-        raise PreconditionViolated("a must be nonzero")
     tot = 0
-    for fx in image_table(ctx, a):
+    for fx in map(BinomialMap(ctx, a), ctx.units()):
         if fx:
             tot = ctx.add(tot, ctx.pow(fx, s))
     return tot
@@ -146,17 +134,36 @@ def s_q(ctx: FieldCtx, a: int, alpha: int) -> int:
 
 
 def has_nonzero_root(ctx: FieldCtx, a: int) -> bool:
-    """True iff a*x + x^(3q-2) vanishes at some x != 0."""
-    table = image_table(ctx, a)
-    return any(table[x] == 0 for x in range(1, ctx.q2))
+    """True iff a*x + x^(3q-2) vanishes at some x != 0.
+
+    Closed form: (-a)^((q+1)/gcd(3, q+1)) = 1.  For x != 0 the map is
+    x*(a + y^3) with y = x^(q-1), and x -> x^(q-1) sends F_{q^2}^* onto the
+    cyclic group mu_{q+1} (the x*h(x^(q-1)) form of Zieve, IJNT 2009).  So a
+    nonzero root exists iff -a is the cube of some y in mu_{q+1}.  Those
+    cubes are the subgroup of order (q+1)/gcd(3, q+1), and a cyclic group
+    has one subgroup of each order: the elements z with z^((q+1)/gcd) = 1.
+    That exponent is even when q is odd, so -a may be replaced by a.
+    """
+    q = ctx.q
+    return ctx.pow(ctx.neg(a), (q + 1) // math.gcd(3, q + 1)) == 1
 
 
 def brute_pp_test(ctx: FieldCtx, a: int) -> bool:
-    """Ground truth: does the map hit all q^2 values?  Bitset with early exit."""
+    """Ground truth: does the map hit all q^2 values?
+
+    f(x) = a*x + x^(3q-2) is evaluated one x at a time, a*x by a log-table
+    multiply (``ctx.mul`` in a field without tables) and x^(3q-2) from
+    ``_power_table``, and the scan returns at the first repeated value.
+    """
     if a == 0:
         raise PreconditionViolated("a must be nonzero")
+    cube, exp, log, m = _power_table(ctx, 3 * ctx.q - 2), ctx._exp, ctx._log, ctx.q2 - 1
+    add, mul = operator.xor if ctx.p == 2 else ctx.add, ctx.mul  # p = 2: + is XOR
+    la = log[a] if exp else None
     seen = bytearray(ctx.q2)
-    for fx in image_table(ctx, a):
+    seen[0] = 1  # f(0) = 0
+    for x in range(1, ctx.q2):
+        fx = add(exp[(la + log[x]) % m] if exp else mul(a, x), cube[x])
         if seen[fx]:
             return False
         seen[fx] = 1
@@ -166,26 +173,21 @@ def brute_pp_test(ctx: FieldCtx, a: int) -> bool:
 def hermite_pp_test(ctx: FieldCtx, a: int, full_range: bool = False) -> bool:
     """Reduced power-sum permutation test.
 
-    When 3 | q+1 the only-root-zero condition is equivalent to
-    a^((q+1)/3) != 1; otherwise the roots are checked directly.  No case is
-    assumed impossible a priori: for 3 not dividing q+1 the sums are still
-    computed, so the divisibility necessity is observed, not hard-coded.
+    The only-root-zero condition is the closed form of ``has_nonzero_root``
+    for every q.  No case is assumed impossible a priori: for 3 not dividing
+    q+1 the sums are still computed whenever 0 is the only root, so the
+    divisibility necessity is observed, not hard-coded.
 
     ``full_range=True`` switches to the slow oracle that checks every power
     sum s in [1, q^2-2] directly (intended for q <= 8).
     """
     if a == 0:
         raise PreconditionViolated("a must be nonzero")
-    q = ctx.q
-    if (q + 1) % 3 == 0:
-        only_root_zero = ctx.pow(a, (q + 1) // 3) != 1
-    else:
-        only_root_zero = not has_nonzero_root(ctx, a)
-    if not only_root_zero:
+    if has_nonzero_root(ctx, a):
         return False
     if full_range:
         return all(power_sum(ctx, a, s) == 0 for s in range(1, ctx.q2 - 1))
-    return all(s_q(ctx, a, alpha) == 0 for alpha in range(q))
+    return all(s_q(ctx, a, alpha) == 0 for alpha in range(ctx.q))
 
 
 REDUCED_INDICES = "s = alpha + (q-1-alpha)*q for 0 <= alpha <= q-1"

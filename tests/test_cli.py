@@ -1,10 +1,13 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import permbinom
 from permbinom.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, run
 
 
@@ -125,9 +128,12 @@ class TestContract:
         assert "s]" in err and "s]" not in out
 
     def test_console_script_subprocess(self):
+        # The child imports the package this suite imports, installed or not.
+        path = [str(Path(permbinom.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
         proc = subprocess.run(
             [sys.executable, "-m", "permbinom.cli", "check", "--q", "2", "--a", "2"],
             capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
         )
         assert proc.returncode == 0
         assert "agree = True" in proc.stdout

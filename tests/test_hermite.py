@@ -2,10 +2,12 @@ import random
 
 import pytest
 
-from permbinom.ffield import is_primitive_cube_root
+from permbinom import ffield
+from permbinom.ffield import FieldCtx, is_primitive_cube_root
 from permbinom.hermite import (
     BinomialMap,
     PreconditionViolated,
+    _power_table,
     brute_pp_test,
     has_nonzero_root,
     hermite_pp_test,
@@ -16,10 +18,11 @@ from permbinom.hermite import (
 )
 
 PRIME_POWERS_13 = (2, 3, 4, 5, 7, 8, 9, 11, 13)
+PRIME_POWERS_32 = PRIME_POWERS_13 + (16, 17, 19, 23, 25, 27, 29, 31, 32)
 
 
 def ctx_for_q(fields, q):
-    for p in (2, 3, 5, 7, 11, 13, 17, 23, 29, 31):
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
         e = 0
         m = q
         while m % p == 0:
@@ -156,6 +159,17 @@ class TestIntervalCensus:
                     assert c.count == 3
 
 
+def first_repeat_point(ctx, a):
+    """The first x in encoding order whose image repeats an earlier one, or None."""
+    f, seen = BinomialMap(ctx, a), {0}
+    for x in ctx.units():
+        fx = f(x)
+        if fx in seen:
+            return x
+        seen.add(fx)
+    return None
+
+
 class TestBruteForce:
     def test_q2_cube_root_is_pp(self, fields):
         ctx = fields(2, 1)
@@ -171,6 +185,37 @@ class TestBruteForce:
     def test_q5_count(self, fields):
         ctx = fields(5, 1)
         assert sum(brute_pp_test(ctx, a) for a in ctx.units()) == 10
+
+    @pytest.mark.parametrize("p, e", [(5, 1), (3, 2)])
+    def test_stops_at_first_collision(self, fields, monkeypatch, p, e):
+        # For odd p the scan makes one ctx.add per point, so counting the
+        # adds counts the points evaluated.
+        ctx = fields(p, e)
+        first_repeat = {a: first_repeat_point(ctx, a) for a in ctx.units()}
+        calls = []
+        add = FieldCtx.add
+        monkeypatch.setattr(FieldCtx, "add", lambda self, u, v: calls.append(1) or add(self, u, v))
+        for a, x in first_repeat.items():
+            calls.clear()
+            assert brute_pp_test(ctx, a) == (x is None)
+            assert len(calls) == (ctx.q2 - 1 if x is None else x), a
+        assert any(x is not None and x < ctx.q2 // 2 for x in first_repeat.values())
+
+    @pytest.mark.parametrize("p, e", [(2, 2), (2, 3), (5, 1), (3, 2)])
+    def test_field_without_tables(self, fields, monkeypatch, p, e):
+        # Above LOG_TABLE_BOUND a field has no log tables; both deciders must
+        # still agree with the tabled build of the same field.
+        tabled = fields(p, e)
+        monkeypatch.setattr(ffield, "LOG_TABLE_BOUND", 0)
+        bare = FieldCtx(p, e)
+        assert bare._exp is None and bare.modulus == tabled.modulus
+        _power_table.cache_clear()
+        try:
+            for a in bare.units():
+                assert brute_pp_test(bare, a) == brute_pp_test(tabled, a), a
+                assert hermite_pp_test(bare, a) == hermite_pp_test(tabled, a), a
+        finally:
+            _power_table.cache_clear()
 
 
 class TestHermiteEquivalence:
@@ -209,6 +254,22 @@ class TestRootCondition:
         ctx = ctx_for_q(fields, q)
         for a in ctx.units():
             assert has_nonzero_root(ctx, a) == (ctx.pow(a, (q + 1) // 3) == 1)
+
+    @pytest.mark.parametrize("q", PRIME_POWERS_32)
+    def test_closed_form_matches_cube_set(self, fields, q):
+        # f(x) = x*(a + x^(3q-3)), so a nonzero root exists iff -a is in
+        # {x^(3q-3) : x != 0}; this covers every q <= 32, 3 | q+1 or not.
+        ctx = ctx_for_q(fields, q)
+        cubes = {ctx.pow(x, 3 * q - 3) for x in ctx.units()}
+        for a in ctx.units():
+            assert has_nonzero_root(ctx, a) == (ctx.neg(a) in cubes), (q, a)
+
+    @pytest.mark.parametrize("q", PRIME_POWERS_13)
+    def test_closed_form_matches_literal_scan(self, fields, q):
+        ctx = ctx_for_q(fields, q)
+        for a in ctx.units():
+            f = BinomialMap(ctx, a)
+            assert has_nonzero_root(ctx, a) == any(f(x) == 0 for x in ctx.units()), (q, a)
 
     @pytest.mark.parametrize("q", [2, 5, 8, 11])
     def test_coset_invariance(self, fields, q):
