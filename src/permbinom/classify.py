@@ -176,11 +176,11 @@ def elimination_pipeline(check_fixtures: bool = True) -> EliminationReport:
             raise FixtureMismatch(f"unexpected gcd chain mod {p}: {gcd}")
         roots = tuple(r for r in range(p) if eval_mod_p(list(gcd), r, p) == 0)
         evaluations: Dict[Tuple[int, int], int] = {}
-        if p == 2:
-            # gcd = x: its only root is 0, which no power of a nonzero a can
-            # reach, so no even q >= 32 works; odd-exponent powers of 2 below
-            # that are handled by the direct sweep.
-            conclusion = "no q >= 32 with p = 2 (shared root would be 0)"
+        if roots == (0,):
+            # The gcd's only root is 0, which no power of a nonzero a can
+            # reach, so no q >= 32 of characteristic p works; the powers of p
+            # below that are handled by the direct sweep.
+            conclusion = f"no q >= 32 with p = {p} (shared root would be 0)"
             qs: Tuple[int, ...] = ()
         elif not roots:
             conclusion = f"no shared root mod {p}; only q = {p} remains"

@@ -16,7 +16,7 @@ import time
 from typing import List, Optional
 
 from permbinom import classify, hermite, symalg
-from permbinom.ffield import make_field, parse_field_descriptor
+from permbinom.ffield import SizeExceeded, is_prime, make_field, parse_field_descriptor
 from permbinom.symalg import poly_json, poly_str
 
 EXIT_OK = 0
@@ -24,9 +24,19 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 
 
-def _field_from_arg(spec: str):
-    p, e = parse_field_descriptor(spec)
-    return make_field(p, e)
+class UsageError(Exception):
+    """A bad argument value: ``run`` prints it as one line and exits 2."""
+
+
+def _field_and_element(spec: str, a: int):
+    """The field F_{q^2} named by a "p^e" argument, and a checked nonzero a."""
+    try:
+        ctx = make_field(*parse_field_descriptor(spec))
+    except ValueError as exc:  # NonPrimeP, SizeExceeded, e < 1 or no "p^e"
+        raise UsageError(exc) from None
+    if not 0 < a < ctx.q2:
+        raise UsageError(f"a = {a} is not a nonzero element of F_{ctx.q2}")
+    return ctx, a
 
 
 def _emit(args, payload: dict, text_lines: List[str]) -> None:
@@ -52,7 +62,10 @@ def _report(args, command: str, config: dict, results: dict, status: str) -> dic
 
 
 def cmd_verify(args) -> int:
-    res = classify.sweep(q_max=args.max_q, method=args.method, jobs=args.jobs)
+    try:
+        res = classify.sweep(q_max=args.max_q, method=args.method, jobs=args.jobs)
+    except SizeExceeded as exc:
+        raise UsageError(exc) from None
     status = "pass" if not res.disagreements else "fail"
     payload = _report(
         args,
@@ -75,11 +88,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_check(args) -> int:
-    ctx = _field_from_arg(args.q)
-    a = args.a
-    if not 0 < a < ctx.q2:
-        print(f"error: a = {a} is not a nonzero element of F_{ctx.q2}", file=sys.stderr)
-        return EXIT_USAGE
+    ctx, a = _field_and_element(args.q, args.a)
     v = classify.PPVerdict(
         q=ctx.q,
         p=ctx.p,
@@ -100,11 +109,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_hermite_profile(args) -> int:
-    ctx = _field_from_arg(args.q)
-    a = args.a
-    if not 0 < a < ctx.q2:
-        print(f"error: a = {a} is not a nonzero element of F_{ctx.q2}", file=sys.stderr)
-        return EXIT_USAGE
+    ctx, a = _field_and_element(args.q, args.a)
     q = ctx.q
     sums = {alpha: hermite.s_q(ctx, a, alpha) for alpha in range(q)}
     root_ok = not hermite.has_nonzero_root(ctx, a)
@@ -131,8 +136,7 @@ def cmd_gpoly(args) -> int:
     try:
         rec = symalg.g_poly(args.alpha)
     except symalg.BadAlpha as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(exc) from None
     payload = _report(
         args,
         "gpoly",
@@ -155,8 +159,7 @@ def cmd_resultant(args) -> int:
         f = symalg.g_poly(args.left).g
         g = symalg.g_poly(args.right).g
     except symalg.BadAlpha as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(exc) from None
     res = symalg.resultant_z(list(f), list(g))
     results = {"left": args.left, "right": args.right, "resultant": str(res)}
     lines = [f"Res(g_{args.left}, g_{args.right}) = {res}"]
@@ -176,6 +179,8 @@ def cmd_resultant(args) -> int:
 
 def cmd_gcdchain(args) -> int:
     p = args.p
+    if not is_prime(p):
+        raise UsageError(f"p = {p} is not prime")
     polys = [list(symalg.g_poly(alpha).g) for alpha in (2, 5, 8)]
     try:
         gcd = symalg.gcd_mod_p(polys, p)
@@ -205,8 +210,7 @@ def cmd_sporadic(args) -> int:
     try:
         count, members = classify.sporadic_census(args.q)
     except classify.UnsupportedQ as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(exc) from None
     payload = _report(args, "sporadic", {"q": args.q},
                       {"count": count, "elements": members}, "pass")
     _emit(args, payload, [
@@ -320,7 +324,11 @@ def run(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     t0 = time.perf_counter()
-    code = args.func(args)
+    try:
+        code = args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     print(f"[{time.perf_counter() - t0:.3f}s]", file=sys.stderr)
     return code
 

@@ -363,10 +363,11 @@ def make_field(p: int, e: int, size_bound: int = DEFAULT_SIZE_BOUND) -> FieldCtx
 
 def parse_field_descriptor(s: str) -> tuple:
     """Parse a "p^e" string into (p, e); bare "p" means e = 1."""
-    if "^" in s:
-        ps, es = s.split("^", 1)
-        return int(ps), int(es)
-    return int(s), 1
+    ps, caret, es = s.partition("^")
+    try:
+        return int(ps), (int(es) if caret else 1)
+    except ValueError:
+        raise ValueError(f'field {s!r} is not of the form "p^e"') from None
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,13 @@ classification pipeline.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
 from permbinom.ffield import fp_gcd, fp_trim
 
@@ -281,23 +283,62 @@ class FactorResult:
         return v if self.n > 0 else -v
 
 
-def factor_trial(n: int, bound: int = 10**6) -> FactorResult:
-    """Factor |n| by trial division up to ``bound``.
+_SEGMENT = 1 << 14
 
-    A remaining cofactor c with c <= bound^2 is certified prime (it has no
-    divisor below its square root); anything larger is reported unfactored
+
+def _sieve(lo: int, hi: int) -> Iterator[int]:
+    """The primes in [lo, hi), crossed out by the primes up to sqrt(hi)."""
+    flags = bytearray([1]) * (hi - lo)
+    for k in range(lo, min(hi, 2)):
+        flags[k - lo] = 0
+    root = math.isqrt(hi - 1)
+    for p in _sieve(2, root + 1) if root >= 2 else ():
+        start = max(p * p, -(-lo // p) * p) - lo
+        flags[start::p] = bytes(len(range(start, hi - lo, p)))
+    return itertools.compress(range(lo, hi), flags)
+
+
+@functools.lru_cache(maxsize=128)
+def _segment_product(lo: int, hi: int) -> int:
+    """The product of the primes in [lo, hi), built on first use.
+
+    128 entries hold the 69 segments up to the default bound 10^6; a larger
+    bound cycles through the cache instead of growing it.
+    """
+    return math.prod(_sieve(lo, hi))
+
+
+def factor_trial(n: int, bound: int = 10**6) -> FactorResult:
+    """Factor |n| by trial division by the primes up to ``bound``.
+
+    The primes are taken in segments of 2^14 numbers, after segments that
+    double from [0, 2^7) to [2^13, 2^14), so that a small n builds no
+    product of primes it never reaches.  One gcd of the remaining cofactor
+    m with the product of a segment's primes (cached per segment) tells
+    whether any of them divides m; only then is the segment sieved again
+    and m divided by its primes, in ascending order, while p <= bound and
+    p^2 <= m.
+
+    A remaining cofactor c with c <= bound^2 is certified prime: a composite
+    c would have a prime factor p <= sqrt(c) <= bound, and every such p has
+    been tried and divided out.  Anything larger is reported unfactored
     with ``complete=False``.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
     m = abs(n)
     factors: Dict[int, int] = {}
-    d = 2
-    while d <= bound and d * d <= m:
-        while m % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            m //= d
-        d += 1 if d == 2 else 2
+    lo = 0
+    while lo <= bound and lo * lo <= m:
+        hi = lo + min(max(lo, 1 << 7), _SEGMENT)
+        if math.gcd(m, _segment_product(lo, hi)) != 1:
+            for p in _sieve(lo, hi):
+                if p > bound or p * p > m:
+                    break
+                while m % p == 0:
+                    factors[p] = factors.get(p, 0) + 1
+                    m //= p
+        lo = hi
     if m == 1:
         return FactorResult(n=n, factors=factors, complete=True)
     if m <= bound * bound:

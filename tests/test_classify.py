@@ -1,5 +1,6 @@
 import pytest
 
+from permbinom import classify
 from permbinom.classify import (
     CENSUS_TARGETS,
     SPORADIC_TABLE,
@@ -102,6 +103,20 @@ class TestEliminationPipeline:
     def test_unchecked_run_matches(self, report):
         free = elimination_pipeline(check_fixtures=False)
         assert free == report
+
+    def test_root_zero_conclusion_needs_root_zero(self, report, monkeypatch):
+        # The p = 2 conclusion rests on the gcd x, whose only root is 0.  A
+        # gcd x + 1 mod 2 has the root 1, which must go through g_11 and g_14.
+        assert report.chains[2].roots == (0,)
+        real = classify.gcd_mod_p
+        monkeypatch.setattr(
+            classify, "gcd_mod_p", lambda polys, p: [1, 1] if p == 2 else real(polys, p)
+        )
+        chain = elimination_pipeline(check_fixtures=False).chains[2]
+        assert chain.gcd == (1, 1) and chain.roots == (1,)
+        assert "shared root would be 0" not in chain.conclusion
+        assert chain.evaluations == {(11, 1): 1}
+        assert chain.candidate_qs == (2,)
 
 
 class TestSweep:

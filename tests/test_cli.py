@@ -111,6 +111,32 @@ class TestOtherSubcommands:
         assert doc["results"]["candidate_qs"] == [17, 23, 29]
 
 
+class TestBadInputExitCodes:
+    """Bad argument values end in exit 2 and one "error: ..." line."""
+
+    def assert_usage_error(self, capsys, *argv, says):
+        code, out, err = invoke(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and says in err
+        assert "Traceback" not in err
+
+    def test_check_non_prime_p(self, capsys):
+        self.assert_usage_error(capsys, "check", "--q", "4", "--a", "5", says="not prime")
+
+    def test_check_malformed_field(self, capsys):
+        self.assert_usage_error(capsys, "check", "--q", "2^x", "--a", "1", says='"p^e"')
+
+    def test_check_field_too_large(self, capsys):
+        self.assert_usage_error(capsys, "check", "--q", "2^13", "--a", "1",
+                                says="size bound")
+
+    def test_verify_above_hard_cap(self, capsys):
+        self.assert_usage_error(capsys, "verify", "--max-q", "200", says="hard cap")
+
+    def test_gcdchain_non_prime_p(self, capsys):
+        self.assert_usage_error(capsys, "gcdchain", "--p", "4", says="p = 4 is not prime")
+
+
 class TestContract:
     def test_unknown_flag_is_usage_error(self, capsys):
         assert invoke(capsys, "gpoly", "--alpha", "2", "--frobnicate")[0] == EXIT_USAGE

@@ -227,6 +227,88 @@ class TestFactorTrial:
             factor_trial(0)
 
 
+def trial_division_oracle(n, bound=10**6):
+    """Reference for factor_trial: divide by 2 and then by every odd d while
+    d <= bound and d^2 <= m."""
+    m = abs(n)
+    factors = {}
+    d = 2
+    while d <= bound and d * d <= m:
+        while m % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            m //= d
+        d += 1 if d == 2 else 2
+    if m == 1:
+        return FactorResult(n=n, factors=factors, complete=True)
+    if m <= bound * bound:
+        factors[m] = factors.get(m, 0) + 1
+        return FactorResult(n=n, factors=factors, complete=True)
+    return FactorResult(n=n, factors=factors, complete=False, cofactor=m)
+
+
+SEGMENT = 2**14
+# The primes next to segment edges: 127 < 2^7 < 131 ends the first
+# segment; the Mersenne primes 8191 = 2^13 - 1 and 131071 = 2^17 - 1 are
+# the last numbers of theirs, 8209 and 131101 the first primes of the
+# next; 16381 < 2^14 < 16411.
+EDGE_PRIMES = (127, 131, 8191, 8209, 16369, 16381, 16411, 16417, 131071, 131101)
+
+
+class TestSegmentedFactorTrial:
+    """factor_trial against the plain d-loop it replaced."""
+
+    @staticmethod
+    def assert_same(n, bound):
+        got, want = factor_trial(n, bound), trial_division_oracle(n, bound)
+        assert list(got.factors.items()) == list(want.factors.items()), (n, bound)
+        assert (got.complete, got.cofactor) == (want.complete, want.cofactor), (n, bound)
+
+    def test_seeded_random(self):
+        rng = random.Random(20131)
+        for _ in range(400):
+            n = rng.choice([1, rng.randrange(2, 10**9), rng.randrange(2, 10**30)])
+            n *= rng.choice(EDGE_PRIMES + (1, 2, 3**5, 7**3)) ** rng.randrange(3)
+            # The oracle stops at sqrt(n), so the full bound only for small n.
+            small = n < 10**9 and rng.random() < 0.5
+            bound = 10**6 if small else rng.randrange(1, 3 * SEGMENT)
+            self.assert_same(rng.choice([1, -1]) * n, bound)
+
+    def test_units(self):
+        for n in (1, -1):
+            for bound in (1, 2, 3, SEGMENT, 10**6):
+                self.assert_same(n, bound)
+
+    def test_primes_on_both_sides_of_a_segment_edge(self):
+        n = 127 * 131**2 * 8191 * 8209 * 16381**2 * 16411 * 131071 * 131101**3 * (2**89 - 1)
+        for bound in (127, 130, 131, 8191, 8192, 8209, SEGMENT - 1, SEGMENT, SEGMENT + 1,
+                      131071, 131100, 131101, 10**6):
+            self.assert_same(n, bound)
+            self.assert_same(-n, bound)
+        assert list(factor_trial(n, 131101).factors) == [
+            127, 131, 8191, 8209, 16381, 16411, 131071, 131101
+        ]
+
+    def test_bound_at_segment_edges_and_tiny(self):
+        n = 2**3 * 3**2 * 5 * 16369 * 16417 * 32771 * 65537
+        for edge in (2**7, 2**8, 2**13, SEGMENT, 2 * SEGMENT, 4 * SEGMENT):
+            for bound in (edge - 1, edge, edge + 1):
+                self.assert_same(n, bound)
+        for bound in (1, 2, 3):
+            for m in (n, 2, 3, 4, 6, 9, 25, 35, 2 * 16411):
+                self.assert_same(m, bound)
+
+    def test_prime_square_near_bound_squared(self):
+        for p in EDGE_PRIMES:
+            for bound in (p - 1, p, p + 1):
+                for n in (p * p, 3 * p * p, p**3):
+                    self.assert_same(n, bound)
+
+    @pytest.mark.parametrize("left", [5, 8, 11, 14])
+    def test_consecutive_resultants(self, left):
+        r = resultant_z(list(g_poly(left).g), list(g_poly(left + 3).g))
+        self.assert_same(r, 10**6)
+
+
 class TestGcdChains:
     def test_mod2_chain(self):
         assert gcd_mod_p([G2, G5, G8], 2) == [0, 1]
