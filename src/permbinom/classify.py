@@ -22,6 +22,7 @@ from permbinom.ffield import (
     is_prime,
     is_primitive_cube_root,
     make_field,
+    prime_factors,
 )
 from permbinom.hermite import brute_pp_test, hermite_pp_test
 from permbinom.symalg import (
@@ -32,6 +33,7 @@ from permbinom.symalg import (
     gcd_mod_p,
     poly_str,
     resultant_z,
+    roots_mod_p,
 )
 
 
@@ -174,7 +176,7 @@ def elimination_pipeline(check_fixtures: bool = True) -> EliminationReport:
         gcd = tuple(gcd_mod_p([g[2], g[5], g[8]], p))
         if check_fixtures and gcd != _EXPECTED_GCDS[p]:
             raise FixtureMismatch(f"unexpected gcd chain mod {p}: {gcd}")
-        roots = tuple(r for r in range(p) if eval_mod_p(list(gcd), r, p) == 0)
+        roots = roots_mod_p(gcd, p)
         evaluations: Dict[Tuple[int, int], int] = {}
         if roots == (0,):
             # The gcd's only root is 0, which no power of a nonzero a can
@@ -283,28 +285,19 @@ class SweepResult:
 
 
 def prime_powers(limit: int) -> List[int]:
-    out = []
-    for p in range(2, limit + 1):
-        if is_prime(p):
-            q = p
-            while q <= limit:
-                out.append(q)
-                q *= p
-    return sorted(out)
+    """Every prime power q <= limit, ascending."""
+    return sorted(p**e for p in range(limit + 1) if is_prime(p)
+                  for e in range(1, limit.bit_length()) if p**e <= limit)
 
 
 def _factor_prime_power(q: int) -> Tuple[int, int]:
-    for p in range(2, q + 1):
-        if q % p == 0:
-            e = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                e += 1
-            if m != 1 or not is_prime(p):
-                raise ValueError(f"q = {q} is not a prime power")
-            return p, e
-    raise ValueError(f"q = {q} is not a prime power")
+    factors = prime_factors(q)
+    if len(factors) != 1:
+        raise ValueError(f"q = {q} is not a prime power")
+    p, e = factors[0], 1
+    while p**e < q:
+        e += 1
+    return p, e
 
 
 def _sweep_one_q(args: Tuple[int, str]) -> List[PPVerdict]:

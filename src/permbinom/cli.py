@@ -47,7 +47,7 @@ def _emit(args, payload: dict, text_lines: List[str]) -> None:
             print(line)
 
 
-def _report(args, command: str, config: dict, results: dict, status: str) -> dict:
+def _report(command: str, config: dict, results: dict, status: str) -> dict:
     return {
         "command": command,
         "config": config,
@@ -68,7 +68,6 @@ def cmd_verify(args) -> int:
         raise UsageError(exc) from None
     status = "pass" if not res.disagreements else "fail"
     payload = _report(
-        args,
         "verify",
         {"max_q": args.max_q, "method": args.method, "seed": args.seed},
         res.summary(),
@@ -98,7 +97,7 @@ def cmd_check(args) -> int:
         hermite=hermite.hermite_pp_test(ctx, a),
         predicted=classify.theorem_predicate(ctx, a),
     )
-    payload = _report(args, "check", {"q": args.q, "a": a}, v.to_dict(),
+    payload = _report("check", {"q": args.q, "a": a}, v.to_dict(),
                       "pass" if v.agree else "fail")
     _emit(args, payload, [
         f"q = {ctx.q} (F_{ctx.q2}), a = {a}",
@@ -115,7 +114,6 @@ def cmd_hermite_profile(args) -> int:
     root_ok = not hermite.has_nonzero_root(ctx, a)
     is_pp = root_ok and all(v == 0 for v in sums.values())
     payload = _report(
-        args,
         "hermite-profile",
         {"q": args.q, "a": a},
         {
@@ -138,7 +136,6 @@ def cmd_gpoly(args) -> int:
     except symalg.BadAlpha as exc:
         raise UsageError(exc) from None
     payload = _report(
-        args,
         "gpoly",
         {"alpha": args.alpha},
         {
@@ -171,7 +168,7 @@ def cmd_resultant(args) -> int:
             f"{p}^{m}" if m > 1 else str(p) for p, m in sorted(fact.factors.items())
         )
         lines.append(f"  = {pretty}" + ("" if fact.complete else f" * C ({fact.cofactor})"))
-    payload = _report(args, "resultant", {"left": args.left, "right": args.right},
+    payload = _report("resultant", {"left": args.left, "right": args.right},
                       results, "pass")
     _emit(args, payload, lines)
     return EXIT_OK
@@ -187,14 +184,13 @@ def cmd_gcdchain(args) -> int:
     except symalg.AllZero as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    roots = [r for r in range(p) if symalg.eval_mod_p(gcd, r, p) == 0]
+    roots = symalg.roots_mod_p(gcd, p)
     evals = {}
     for alpha in (11, 14):
         gx = list(symalg.g_poly(alpha).g)
         for r in roots:
             evals[f"g_{alpha}({r - p if r > p // 2 else r})"] = symalg.eval_mod_p(gx, r, p)
     payload = _report(
-        args,
         "gcdchain",
         {"p": p},
         {"gcd": poly_json(gcd), "roots": roots, "evaluations": evals},
@@ -211,7 +207,7 @@ def cmd_sporadic(args) -> int:
         count, members = classify.sporadic_census(args.q)
     except classify.UnsupportedQ as exc:
         raise UsageError(exc) from None
-    payload = _report(args, "sporadic", {"q": args.q},
+    payload = _report("sporadic", {"q": args.q},
                       {"count": count, "elements": members}, "pass")
     _emit(args, payload, [
         f"q = {args.q}: {count} values of a give a permutation",
@@ -236,7 +232,6 @@ def cmd_pipeline(args) -> int:
         for p, c in report.chains.items()
     }
     payload = _report(
-        args,
         "pipeline",
         {},
         {

@@ -13,6 +13,7 @@ no trailing zeros; [] is the zero polynomial.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterator, List, Sequence
 
 # Hard bound on field size accepted by make_field.
@@ -36,18 +37,7 @@ class ZeroInverse(ZeroDivisionError):
 
 def is_prime(n: int) -> bool:
     """Trial-division primality check; inputs here are desk-scale."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n > 1 and prime_factors(n) == [n]
 
 
 def prime_factors(n: int) -> List[int]:
@@ -214,39 +204,53 @@ class FieldCtx:
     # -- construction helpers -------------------------------------------------
 
     def _mul_poly(self, a: int, b: int) -> int:
-        """Multiplication via polynomial arithmetic (used before tables exist)."""
+        """Multiplication via polynomial arithmetic: the generator search, fields
+        without tables, and the tests' oracle for the tables."""
         fa, fb = self.to_coeffs(a), self.to_coeffs(b)
         return self.from_coeffs(fp_mulmod(list(fa), list(fb), list(self.modulus), self.p))
 
     def _build_tables(self) -> None:
+        # Before the tables exist, pow multiplies polynomials.
         order = self.q2 - 1
-        factors = prime_factors(order)
-        for g in range(2, self.q2):
-            ok = True
-            for r in factors:
-                x, k = 1, order // r
-                b = g
-                while k:
-                    if k & 1:
-                        x = self._mul_poly(x, b)
-                    b = self._mul_poly(b, b)
-                    k >>= 1
-                if x == 1:
-                    ok = False
-                    break
-            if ok:
-                self.generator = g
-                break
-        assert self.generator is not None
-        exp = [1] * order
-        log = [0] * self.q2
-        acc = 1
-        for i in range(order):
-            exp[i] = acc
-            log[acc] = i
-            acc = self._mul_poly(acc, self.generator)
-        self._exp = exp
-        self._log = log
+        cofactors = [order // r for r in prime_factors(order)]
+        self.generator = next(g for g in range(2, self.q2)
+                              if all(self.pow(g, k) != 1 for k in cofactors))
+        self._exp = list(self._generator_powers())
+        self._log = [0] * self.q2
+        for i, a in enumerate(self._exp):
+            self._log[a] = i
+
+    def _generator_powers(self) -> Iterator[int]:
+        """g^0, ..., g^(q^2 - 2), each acc * g by Horner's rule on g's digits:
+        r = g_top * acc, then r = x*r + g_k * acc, where x*r shifts the digits
+        up and subtracts the top one times the modulus.  For p = 2 that is
+        shifts and XORs on the encoding; odd p works on digits, encoded once.
+        """
+        p, n = self.p, self.n
+        lead, *low = fp_trim(list(self.to_coeffs(self.generator)))[::-1]
+        if p == 2:
+            m, top, acc = self.from_coeffs(self.modulus), 1 << n, 1
+            for _ in range(self.q2 - 1):
+                yield acc
+                r = acc
+                for c in low:
+                    r <<= 1
+                    if r & top:
+                        r ^= m
+                    if c:
+                        r ^= acc
+                acc = r
+            return
+        # wrap[t]: the digits of -t * (m - x^n), which a top digit t shifts into.
+        wrap = [[-t * b % p for b in self.modulus[:n]] for t in range(p)]
+        place = [p**k for k in range(n)]
+        d = [1] + [0] * (n - 1)
+        for _ in range(self.q2 - 1):
+            yield sum(map(operator.mul, d, place))
+            r = d if lead == 1 else [lead * v % p for v in d]
+            for c in low:
+                r = [(s + t + c * v) % p for s, t, v in zip((0, *r), wrap[r[-1]], d)]
+            d = r
 
     # -- identity / hashing ----------------------------------------------------
 

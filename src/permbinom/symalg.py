@@ -58,13 +58,6 @@ def poly_degree(f: Sequence[Coeff]) -> int:
     return len(f) - 1
 
 
-def poly_add(f: Sequence[Coeff], g: Sequence[Coeff]) -> List[Coeff]:
-    out = list(f) + [0] * (len(g) - len(f)) if len(g) > len(f) else list(f)
-    for i, c in enumerate(g):
-        out[i] += c
-    return poly_trim(out)
-
-
 def poly_mul(f: Sequence[Coeff], g: Sequence[Coeff]) -> List[Coeff]:
     if not f or not g:
         return []
@@ -74,10 +67,6 @@ def poly_mul(f: Sequence[Coeff], g: Sequence[Coeff]) -> List[Coeff]:
             for j, gj in enumerate(g):
                 out[i + j] += fi * gj
     return poly_trim(out)
-
-
-def poly_scale(f: Sequence[Coeff], c: Coeff) -> List[Coeff]:
-    return poly_trim([c * x for x in f])
 
 
 def poly_eval(f: Sequence[Coeff], x: Coeff) -> Coeff:
@@ -365,6 +354,17 @@ def eval_mod_p(f: Sequence[int], x: int, p: int) -> int:
     for c in reversed(f):
         r = (r * x + c) % p
     return r
+
+
+def roots_mod_p(f: Sequence[int], p: int) -> Tuple[int, ...]:
+    """The distinct roots of f in F_p, ascending: none for a nonzero constant,
+    -f_0/f_1 for a linear f, and a scan of every residue otherwise."""
+    f = fp_trim([c % p for c in f])
+    if len(f) == 1:
+        return ()
+    if len(f) == 2:
+        return (-f[0] * pow(f[1], -1, p) % p,)
+    return tuple(r for r in range(p) if eval_mod_p(f, r, p) == 0)
 
 
 # ---------------------------------------------------------------------------

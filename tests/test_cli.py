@@ -93,6 +93,13 @@ class TestOtherSubcommands:
         assert doc["results"]["evaluations"]["g_11(-3)"] == 0
         assert doc["results"]["evaluations"]["g_14(-3)"] == 15
 
+    def test_gcdchain_large_prime_without_residue_scan(self, capsys):
+        code, out, _ = invoke(capsys, "gcdchain", "--p", "10000019", "--json")
+        results = json.loads(out)["results"]
+        assert code == EXIT_OK
+        assert results["gcd"] == ["1"] and results["roots"] == []
+        assert results["evaluations"] == {}
+
     def test_sporadic_counts(self, capsys):
         for q, n in [(5, 10), (23, 8)]:
             code, out, _ = invoke(capsys, "sporadic", "--q", str(q), "--json")

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -191,6 +192,76 @@ class TestCubeRootsAndSubfield:
         for a in sub:
             for b in sub:
                 assert ctx.mul(a, b) in sub and ctx.add(a, b) in sub
+
+
+# Every (p, e) with q <= 32, and the three bench fields 2^7, 127 and 5^3.
+TABLE_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1),
+                (13, 1), (2, 4), (17, 1), (19, 1), (23, 1), (5, 2), (3, 3), (29, 1),
+                (31, 1), (2, 5), (2, 7), (127, 1), (5, 3)]
+
+# sha256 of str(ctx._exp), captured from the tables built by one polynomial
+# multiply per element, before shift-and-reduce replaced that loop.
+EXP_SHA256 = {
+    (2, 7): "f601610c008abf753cb51848f5dd041df596932ee845cf0cc4900836b2bcddc7",
+    (127, 1): "be3e50231eeefc4809a20ec9267e406291bf6b2527cfb2648aee044e2a3c4c7f",
+    (5, 3): "a5c0e7023ef3fefb5ad0a8775fd421f0dadb949ea95e4228ede1dca6801a3bff",
+}
+
+
+def order_by_powers(ctx, a):
+    """Oracle: the multiplicative order of a, by polynomial multiplication."""
+    k, x = 1, a
+    while x != 1:
+        x, k = ctx._mul_poly(x, a), k + 1
+    return k
+
+
+def steps_by(ctx, powers, g):
+    """Oracle: powers[0] is 1 and each power is the last times g, with
+    g^(q^2 - 1) wrapping round to powers[0]."""
+    return powers[0] == 1 and all(
+        ctx._mul_poly(a, g) == b for a, b in zip(powers, powers[1:] + powers[:1]))
+
+
+class TestTables:
+    """The exp/log tables against polynomial arithmetic."""
+
+    @pytest.mark.parametrize("p,e", TABLE_FIELDS)
+    def test_exp_steps_by_the_generator(self, p, e, fields):
+        ctx = fields(p, e)
+        assert len(ctx._exp) == ctx.q2 - 1
+        assert steps_by(ctx, ctx._exp, ctx.generator)
+
+    @pytest.mark.parametrize("p,e", TABLE_FIELDS)
+    def test_log_inverts_exp(self, p, e, fields):
+        ctx = fields(p, e)
+        assert len(ctx._log) == ctx.q2
+        assert all(ctx._log[a] == i for i, a in enumerate(ctx._exp))
+        assert all(ctx._exp[ctx._log[a]] == a for a in ctx.units())
+
+    @pytest.mark.parametrize("p,e", TABLE_FIELDS)
+    def test_generator_is_smallest_of_full_order(self, p, e, fields):
+        ctx = fields(p, e)
+        order = ctx.q2 - 1
+        assert all(order_by_powers(ctx, c) < order for c in range(1, ctx.generator))
+        assert order_by_powers(ctx, ctx.generator) == order
+
+    @pytest.mark.parametrize("p,e", [(2, 3), (3, 2), (5, 1), (7, 1)])
+    def test_steps_by_every_generator(self, p, e):
+        # The canonical generators above are monic with few digits; step by
+        # every element of full order, non-monic ones included.
+        ctx = make_field(p, e)
+        order = ctx.q2 - 1
+        gens = [c for c in ctx.units() if order_by_powers(ctx, c) == order]
+        assert any(ctx.to_coeffs(g)[-1] > 1 for g in gens) or p == 2
+        for g in gens:
+            ctx.generator = g
+            assert steps_by(ctx, list(ctx._generator_powers()), g)
+
+    @pytest.mark.parametrize("p,e", sorted(EXP_SHA256))
+    def test_exp_digest_unchanged(self, p, e, fields):
+        digest = hashlib.sha256(str(fields(p, e)._exp).encode()).hexdigest()
+        assert digest == EXP_SHA256[(p, e)]
 
 
 class TestLucasBinom:

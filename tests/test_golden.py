@@ -1,0 +1,37 @@
+"""Byte-for-byte golden stdout of the field-dependent CLI commands.
+
+The files under ``tests/golden/`` were captured before the exp/log tables
+were built by shift-and-reduce and before the gcd chains took their roots
+from ``symalg.roots_mod_p``, so they pin that tables, encodings, verdicts
+and chains did not move.  Stdout has no volatile field: the wall time goes
+to stderr, which is not compared.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from permbinom.cli import EXIT_OK, run
+
+GOLDEN = Path(__file__).with_name("golden")
+
+# (q, a) on both sides of 3 | q+1 (q = 7, 9, 16 and 127 are off it), with
+# PP and non-PP verdicts, and the three bench fields 2^7, 127 and 5^3.
+PAIRS = [("2^3", 3), ("2^3", 7), ("5", 3), ("11", 5), ("11", 7), ("2^7", 45),
+         ("2^7", 1000), ("127", 2), ("127", 5000), ("5^3", 5), ("5^3", 7777),
+         ("7", 3), ("3^2", 4), ("2^4", 6)]
+
+CASES = {"verify_max-q-32_both.json": ["verify", "--max-q", "32", "--method", "both", "--json"]}
+CASES.update({f"{cmd}_{q.replace('^', '-')}_a{a}.json": [cmd, "--q", q, "--a", str(a), "--json"]
+              for q, a in PAIRS for cmd in ("check", "hermite-profile")})
+# The gcd chains, text and JSON: their roots come from roots_mod_p.
+CHAINS = {"pipeline": ["pipeline"],
+          **{f"gcdchain_p{p}": ["gcdchain", "--p", str(p)] for p in (17, 23, 29)}}
+CASES.update({f"{stem}.txt": argv for stem, argv in CHAINS.items()})
+CASES.update({f"{stem}.json": argv + ["--json"] for stem, argv in CHAINS.items()})
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stdout_matches_golden(name, capsys):
+    assert run(CASES[name]) == EXIT_OK
+    assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()

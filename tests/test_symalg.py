@@ -27,6 +27,7 @@ from permbinom.symalg import (
     poly_text,
     poly_trim,
     resultant_z,
+    roots_mod_p,
 )
 
 from conftest import sylvester_resultant
@@ -348,6 +349,30 @@ class TestEvalModP:
             f = [rng.randrange(-50, 51) for _ in range(6)]
             x, p = rng.randrange(-20, 21), rng.choice([2, 17, 23, 29])
             assert eval_mod_p(f, x, p) == poly_eval(f, x) % p
+
+
+class TestRootsModP:
+    """roots_mod_p against a scan of every residue, the loop it replaced."""
+
+    @pytest.mark.parametrize("p", [2, 3, 7, 23, 29])
+    @pytest.mark.parametrize("f", [
+        [5], [1], [3, 1], [6, 4], [-4, 3], [0, 1], [2, 0, 1], [0, 0, 1],
+        [1, 1, 1], [-5, 0, 0, 1], [7, 0, 0], [], [29, 0], [3, 8, 1], G2, G5,
+    ])
+    def test_matches_residue_scan(self, f, p):
+        assert roots_mod_p(f, p) == tuple(r for r in range(p) if eval_mod_p(f, r, p) == 0)
+
+    def test_chain_gcds(self):
+        assert roots_mod_p(gcd_mod_p([G2, G5, G8], 2), 2) == (0,)
+        assert roots_mod_p(gcd_mod_p([G2, G5, G8], 17), 17) == ()
+        assert roots_mod_p(gcd_mod_p([G2, G5], 17), 17) == (4, 5)
+        assert roots_mod_p(gcd_mod_p([G2, G5, G8], 29), 29) == (26,)
+
+    def test_large_prime_needs_no_scan(self):
+        p = 10**9 + 7
+        assert roots_mod_p([1], p) == ()
+        assert roots_mod_p([3, 1], p) == (p - 3,)
+        assert roots_mod_p([3, 2], p) == (-3 * pow(2, -1, p) % p,)
 
 
 class TestDivisionAndTrim:
