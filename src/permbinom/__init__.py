@@ -1,11 +1,11 @@
 """Exact verification toolkit for the permutation binomials a*x + x^(3q-2) over F_{q^2}.
 
-The package is organized in four layers:
+The package is organized in four layers; import names from the modules:
 
 - ``ffield``:   exact arithmetic in F_p, F_p[x] and the extension F_{q^2},
                 plus Lucas binomials.
-- ``hermite``:  power sums of the binomial map, the coefficient sums S_q(alpha, a),
-                the reduced Hermite permutation test and the brute-force oracle.
+- ``hermite``:  the binomial map, the coefficient sums S_q(alpha, a), the
+                reduced Hermite permutation test and the brute-force oracle.
 - ``symalg``:   exact rational/integer polynomial algebra: the bracket polynomial,
                 the elimination polynomials g_alpha, resultants, factorization and
                 gcd chains mod p.
@@ -13,98 +13,8 @@ The package is organized in four layers:
                 pipeline and the exhaustive equivalence sweep.
 
 ``cli`` exposes everything as a reproducible command-line tool (``permbinom``).
+The literal power sums and the Lemma 3.1 profile that check ``hermite`` are
+test oracles in ``tests/oracles.py``.
 """
 
-from permbinom.ffield import (
-    FieldCtx,
-    NonPrimeP,
-    SizeExceeded,
-    ZeroInverse,
-    is_primitive_cube_root,
-    lucas_binom,
-    make_field,
-    subfield_q_members,
-)
-from permbinom.hermite import (
-    BinomialMap,
-    IntervalCensus,
-    PowerSumProfile,
-    PreconditionViolated,
-    brute_pp_test,
-    hermite_pp_test,
-    interval_census,
-    lemma31_profile,
-    power_sum,
-    s_q,
-)
-from permbinom.symalg import (
-    BadAlpha,
-    FactorResult,
-    FractionalResidue,
-    GPolyRecord,
-    NotDivisible,
-    bracket_poly,
-    eval_mod_p,
-    factor_trial,
-    g_poly,
-    gcd_mod_p,
-    gen_binom,
-    resultant_z,
-)
-from permbinom.classify import (
-    EliminationReport,
-    FixtureMismatch,
-    PPVerdict,
-    SporadicSpec,
-    UnsupportedQ,
-    coset_classes,
-    elimination_pipeline,
-    sporadic_census,
-    sweep,
-    theorem_predicate,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "FieldCtx",
-    "NonPrimeP",
-    "SizeExceeded",
-    "ZeroInverse",
-    "make_field",
-    "lucas_binom",
-    "is_primitive_cube_root",
-    "subfield_q_members",
-    "BinomialMap",
-    "IntervalCensus",
-    "PowerSumProfile",
-    "PreconditionViolated",
-    "power_sum",
-    "s_q",
-    "interval_census",
-    "brute_pp_test",
-    "hermite_pp_test",
-    "lemma31_profile",
-    "BadAlpha",
-    "NotDivisible",
-    "FractionalResidue",
-    "FactorResult",
-    "GPolyRecord",
-    "gen_binom",
-    "bracket_poly",
-    "g_poly",
-    "resultant_z",
-    "factor_trial",
-    "gcd_mod_p",
-    "eval_mod_p",
-    "SporadicSpec",
-    "PPVerdict",
-    "EliminationReport",
-    "UnsupportedQ",
-    "FixtureMismatch",
-    "theorem_predicate",
-    "sporadic_census",
-    "elimination_pipeline",
-    "sweep",
-    "coset_classes",
-]

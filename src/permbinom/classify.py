@@ -151,12 +151,15 @@ class EliminationReport:
 
 
 def elimination_pipeline(check_fixtures: bool = True) -> EliminationReport:
-    """Replay the elimination argument for q >= 14.
+    """Replay the elimination argument that leaves only small q.
 
-    Steps: resultant of g_2 and g_5 with complete factorization; discard
-    p = 3 and every p = 1 mod 3 (q = p^e = 2 mod 3 forces p = 2 mod 3 with
-    e odd, and 2 = 2 mod 3); per surviving prime, the gcd chain
-    gcd(g_2, g_5, g_8) mod p and evaluations of g_11 / g_14 at its roots.
+    Steps: resultant of g_2 and g_5 with complete factorization, which
+    holds for q >= 14 (``g_poly(5).q_bound``); discard p = 3 and every
+    p = 1 mod 3 (q = p^e = 2 mod 3 forces p = 2 mod 3 with e odd, and
+    2 = 2 mod 3); per surviving prime, the gcd chain gcd(g_2, g_5, g_8) mod p
+    and evaluations of g_11 / g_14 at its roots.  The chains use g_14, which
+    holds only for q >= 32 (``g_poly(14).q_bound``), so their conclusions
+    are about q >= 32; the direct sweep covers every smaller q.
     """
     g = {alpha: list(g_poly(alpha).g) for alpha in (2, 5, 8, 11, 14)}
     res = resultant_z(g[2], g[5])
@@ -300,19 +303,19 @@ def _factor_prime_power(q: int) -> Tuple[int, int]:
     return p, e
 
 
+def classify(ctx: FieldCtx, a: int, method: str) -> PPVerdict:
+    """The verdicts of the requested deciders and of the predicate on (q, a);
+    a decider that ``method`` leaves out reads None."""
+    brute = brute_pp_test(ctx, a) if method in ("brute", "both") else None
+    herm = hermite_pp_test(ctx, a) if method in ("hermite", "both") else None
+    return PPVerdict(q=ctx.q, p=ctx.p, e=ctx.e, a=a, brute=brute, hermite=herm,
+                     predicted=theorem_predicate(ctx, a))
+
+
 def _sweep_one_q(args: Tuple[int, str]) -> List[PPVerdict]:
     q, method = args
-    p, e = _factor_prime_power(q)
-    ctx = make_field(p, e)
-    out = []
-    for a in ctx.units():
-        brute = brute_pp_test(ctx, a) if method in ("brute", "both") else None
-        herm = hermite_pp_test(ctx, a) if method in ("hermite", "both") else None
-        out.append(
-            PPVerdict(q=q, p=p, e=e, a=a, brute=brute, hermite=herm,
-                      predicted=theorem_predicate(ctx, a))
-        )
-    return out
+    ctx = make_field(*_factor_prime_power(q))
+    return [classify(ctx, a, method) for a in ctx.units()]
 
 
 BRUTE_HARD_CAP = 128
@@ -329,6 +332,8 @@ def sweep(q_max: int = DEFAULT_Q_MAX, method: str = "both", jobs: int = 1) -> Sw
     """
     if method not in ("brute", "hermite", "both"):
         raise ValueError(f"unknown method {method!r}")
+    if q_max < 2:
+        raise ValueError(f"q_max = {q_max} admits no prime power")
     if q_max > BRUTE_HARD_CAP:
         raise SizeExceeded(f"q_max = {q_max} exceeds the hard cap {BRUTE_HARD_CAP}")
     qs = prime_powers(q_max)
@@ -346,19 +351,3 @@ def sweep(q_max: int = DEFAULT_Q_MAX, method: str = "both", jobs: int = 1) -> Sw
             result.pp_counts[q] = sum(1 for v in verdicts if v.predicted)
             result.disagreements.extend(v for v in verdicts if not v.agree)
     return result
-
-
-def coset_classes(ctx: FieldCtx) -> List[Tuple[int, ...]]:
-    """Partition of the unit group by the value of a^((q+1)/3).
-
-    Permutation status is constant on each class, so a sweep only needs one
-    representative per class; classes have size (q+1)/3.
-    """
-    q = ctx.q
-    if (q + 1) % 3:
-        raise ValueError("q + 1 must be divisible by 3")
-    k = (q + 1) // 3
-    buckets: Dict[int, List[int]] = {}
-    for a in ctx.units():
-        buckets.setdefault(ctx.pow(a, k), []).append(a)
-    return [tuple(sorted(members)) for _, members in sorted(buckets.items())]

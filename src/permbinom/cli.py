@@ -16,7 +16,7 @@ import time
 from typing import List, Optional
 
 from permbinom import classify, hermite, symalg
-from permbinom.ffield import SizeExceeded, is_prime, make_field, parse_field_descriptor
+from permbinom.ffield import is_prime, make_field, parse_field_descriptor
 from permbinom.symalg import poly_json, poly_str
 
 EXIT_OK = 0
@@ -56,6 +56,16 @@ def _report(command: str, config: dict, results: dict, status: str) -> dict:
     }
 
 
+def _factorization(fact: symalg.FactorResult) -> tuple:
+    """A trial factorization as a JSON map {prime: multiplicity} and as the
+    text product, with any unfactored cofactor as "C (...)"."""
+    factors = sorted(fact.factors.items())
+    text = " * ".join(f"{p}^{m}" if m > 1 else str(p) for p, m in factors)
+    if not fact.complete:
+        text += f" * C ({fact.cofactor})"
+    return {str(p): m for p, m in factors}, text
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -64,12 +74,12 @@ def _report(command: str, config: dict, results: dict, status: str) -> dict:
 def cmd_verify(args) -> int:
     try:
         res = classify.sweep(q_max=args.max_q, method=args.method, jobs=args.jobs)
-    except SizeExceeded as exc:
+    except ValueError as exc:  # SizeExceeded, or no prime power up to max_q
         raise UsageError(exc) from None
     status = "pass" if not res.disagreements else "fail"
     payload = _report(
         "verify",
-        {"max_q": args.max_q, "method": args.method, "seed": args.seed},
+        {"max_q": args.max_q, "method": args.method},
         res.summary(),
         status,
     )
@@ -88,15 +98,7 @@ def cmd_verify(args) -> int:
 
 def cmd_check(args) -> int:
     ctx, a = _field_and_element(args.q, args.a)
-    v = classify.PPVerdict(
-        q=ctx.q,
-        p=ctx.p,
-        e=ctx.e,
-        a=a,
-        brute=hermite.brute_pp_test(ctx, a),
-        hermite=hermite.hermite_pp_test(ctx, a),
-        predicted=classify.theorem_predicate(ctx, a),
-    )
+    v = classify.classify(ctx, a, "both")
     payload = _report("check", {"q": args.q, "a": a}, v.to_dict(),
                       "pass" if v.agree else "fail")
     _emit(args, payload, [
@@ -161,13 +163,12 @@ def cmd_resultant(args) -> int:
     results = {"left": args.left, "right": args.right, "resultant": str(res)}
     lines = [f"Res(g_{args.left}, g_{args.right}) = {res}"]
     if args.factor:
+        if res == 0:
+            raise UsageError(f"Res(g_{args.left}, g_{args.right}) = 0 cannot be factored")
         fact = symalg.factor_trial(res)
-        results["factorization"] = {str(p): m for p, m in sorted(fact.factors.items())}
+        results["factorization"], text = _factorization(fact)
         results["complete"] = fact.complete
-        pretty = " * ".join(
-            f"{p}^{m}" if m > 1 else str(p) for p, m in sorted(fact.factors.items())
-        )
-        lines.append(f"  = {pretty}" + ("" if fact.complete else f" * C ({fact.cofactor})"))
+        lines.append(f"  = {text}")
     payload = _report("resultant", {"left": args.left, "right": args.right},
                       results, "pass")
     _emit(args, payload, lines)
@@ -222,6 +223,7 @@ def cmd_pipeline(args) -> int:
     except classify.FixtureMismatch as exc:
         print(f"mismatch: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
+    factorization, factors = _factorization(report.factorization)
     chains = {
         str(p): {
             "gcd": poly_json(c.gcd),
@@ -236,7 +238,7 @@ def cmd_pipeline(args) -> int:
         {},
         {
             "resultant": str(report.resultant),
-            "factorization": {str(p): m for p, m in sorted(report.factorization.factors.items())},
+            "factorization": factorization,
             "surviving_primes": list(report.surviving_primes),
             "chains": chains,
             "candidate_qs": list(report.candidate_qs),
@@ -245,10 +247,7 @@ def cmd_pipeline(args) -> int:
     )
     lines = [
         f"Res(g_2, g_5) = {report.resultant}",
-        "factors: " + " * ".join(
-            f"{p}^{m}" if m > 1 else str(p)
-            for p, m in sorted(report.factorization.factors.items())
-        ),
+        f"factors: {factors}",
         f"surviving primes: {list(report.surviving_primes)}",
     ]
     for p, c in report.chains.items():
@@ -281,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-q", type=int, default=classify.DEFAULT_Q_MAX, dest="max_q")
     sp.add_argument("--method", choices=["brute", "hermite", "both"], default="both")
     sp.add_argument("--jobs", type=int, default=1)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--verdicts", action="store_true",
                     help="also stream one JSON line per (q, a)")
 

@@ -28,7 +28,7 @@ class NonPrimeP(ValueError):
 
 
 class SizeExceeded(ValueError):
-    """Raised when a requested field or sweep exceeds the configured size bound."""
+    """Raised when a requested field or sweep exceeds its size bound."""
 
 
 class ZeroInverse(ZeroDivisionError):
@@ -180,15 +180,15 @@ class FieldCtx:
 
     __slots__ = ("p", "e", "n", "q", "q2", "modulus", "generator", "_exp", "_log")
 
-    def __init__(self, p: int, e: int, size_bound: int = DEFAULT_SIZE_BOUND):
+    def __init__(self, p: int, e: int):
         if not is_prime(p):
             raise NonPrimeP(f"p = {p} is not prime")
         if e < 1:
             raise ValueError("e must be >= 1")
         n = 2 * e
         q2 = p**n
-        if q2 > size_bound:
-            raise SizeExceeded(f"p^(2e) = {q2} exceeds the size bound {size_bound}")
+        if q2 > DEFAULT_SIZE_BOUND:
+            raise SizeExceeded(f"p^(2e) = {q2} exceeds the size bound {DEFAULT_SIZE_BOUND}")
         self.p = p
         self.e = e
         self.n = n
@@ -286,14 +286,6 @@ class FieldCtx:
         """The constant-polynomial element with value c mod p."""
         return c % self.p
 
-    @property
-    def one(self) -> int:
-        return 1
-
-    @property
-    def zero(self) -> int:
-        return 0
-
     def elements(self) -> Iterator[int]:
         return iter(range(self.q2))
 
@@ -325,9 +317,6 @@ class FieldCtx:
             mult *= p
         return v
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -356,13 +345,10 @@ class FieldCtx:
     def inv(self, a: int) -> int:
         return self.pow(a, -1)
 
-    def frobenius(self, a: int) -> int:
-        return self.pow(a, self.p)
 
-
-def make_field(p: int, e: int, size_bound: int = DEFAULT_SIZE_BOUND) -> FieldCtx:
+def make_field(p: int, e: int) -> FieldCtx:
     """Canonical context for F_{q^2}, q = p^e."""
-    return FieldCtx(p, e, size_bound=size_bound)
+    return FieldCtx(p, e)
 
 
 def parse_field_descriptor(s: str) -> tuple:
@@ -375,7 +361,7 @@ def parse_field_descriptor(s: str) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Combinatorial and subfield helpers
+# Combinatorial helpers
 # ---------------------------------------------------------------------------
 
 
@@ -401,9 +387,3 @@ def lucas_binom(p: int, m: int, k: int) -> int:
 def is_primitive_cube_root(ctx: FieldCtx, y: int) -> bool:
     """True iff y^2 + y + 1 = 0 in the field."""
     return ctx.add(ctx.add(ctx.mul(y, y), y), 1) == 0
-
-
-def subfield_q_members(ctx: FieldCtx) -> set:
-    """The copy of F_q inside F_{q^2}: fixed points of z -> z^q."""
-    q = ctx.q
-    return {z for z in ctx.elements() if ctx.pow(z, q) == z or z == 0}

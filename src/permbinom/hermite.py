@@ -18,10 +18,9 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
-from typing import Dict
+from dataclasses import dataclass
 
-from permbinom.ffield import FieldCtx, is_primitive_cube_root, lucas_binom
+from permbinom.ffield import FieldCtx, lucas_binom
 
 
 class PreconditionViolated(ValueError):
@@ -57,29 +56,18 @@ def _power_table(ctx: FieldCtx, k: int) -> tuple:
     return tuple(ctx.pow(x, k) if x else 0 for x in range(ctx.q2))
 
 
-def power_sum(ctx: FieldCtx, a: int, s: int) -> int:
-    """Sum of f(x)^s over all x in F_{q^2} (ground-truth oracle)."""
-    tot = 0
-    for fx in map(BinomialMap(ctx, a), ctx.units()):
-        if fx:
-            tot = ctx.add(tot, ctx.pow(fx, s))
-    return tot
-
-
 @dataclass(frozen=True)
 class IntervalCensus:
     """Multiples of q+1 in the exponent-shift interval of a given alpha.
 
-    ``hi_stated`` records the interval's displayed upper end alpha - 1;
-    the actual range of -alpha-1+3(i-j) over valid (i, j) is
-    [2*alpha+2-3q, 2*alpha-1] and that working form is what the census (and
-    all sums built on it) uses.
+    The paper displays the interval's upper end as alpha - 1, but the range
+    of -alpha-1+3(i-j) over valid (i, j) is [2*alpha+2-3q, 2*alpha-1];
+    that working form is what the census (and all sums built on it) uses.
     """
 
     q: int
     alpha: int
     lo: int
-    hi_stated: int
     hi_working: int
     multiples: tuple
 
@@ -99,7 +87,6 @@ def interval_census(q: int, alpha: int) -> IntervalCensus:
         q=q,
         alpha=alpha,
         lo=lo,
-        hi_stated=alpha - 1,
         hi_working=hi,
         multiples=tuple(range(l_min, l_max + 1)),
     )
@@ -112,7 +99,7 @@ def s_q(ctx: FieldCtx, a: int, alpha: int) -> int:
     -alpha-1+3(i-j) a multiple of q+1; only the <= 3 admissible differences
     d = i - j are iterated, so the cost is O(q).  Binomials are taken mod p
     via Lucas' theorem.  Stored without the leading minus sign of the
-    power-sum identity (see ``power_sum`` tests).
+    power-sum identity (checked against ``power_sum`` in tests/oracles.py).
     """
     if a == 0:
         raise PreconditionViolated("a must be nonzero")
@@ -170,74 +157,16 @@ def brute_pp_test(ctx: FieldCtx, a: int) -> bool:
     return True
 
 
-def hermite_pp_test(ctx: FieldCtx, a: int, full_range: bool = False) -> bool:
+def hermite_pp_test(ctx: FieldCtx, a: int) -> bool:
     """Reduced power-sum permutation test.
 
     The only-root-zero condition is the closed form of ``has_nonzero_root``
     for every q.  No case is assumed impossible a priori: for 3 not dividing
     q+1 the sums are still computed whenever 0 is the only root, so the
     divisibility necessity is observed, not hard-coded.
-
-    ``full_range=True`` switches to the slow oracle that checks every power
-    sum s in [1, q^2-2] directly (intended for q <= 8).
     """
     if a == 0:
         raise PreconditionViolated("a must be nonzero")
     if has_nonzero_root(ctx, a):
         return False
-    if full_range:
-        return all(power_sum(ctx, a, s) == 0 for s in range(1, ctx.q2 - 1))
     return all(s_q(ctx, a, alpha) == 0 for alpha in range(ctx.q))
-
-
-REDUCED_INDICES = "s = alpha + (q-1-alpha)*q for 0 <= alpha <= q-1"
-
-
-@dataclass(frozen=True)
-class PowerSumProfile:
-    """All reduced-index power sums of a fixed map, with the expected shape.
-
-    When y = a^((q+1)/3) is a primitive cube root of unity, every entry must
-    vanish except, for odd q, the single index s = (q^2-1)/2 whose value is
-    a^(-(q+1)(3q-2)/6) * (1+y).  ``verdict`` records whether the computed
-    entries match that shape exactly.
-    """
-
-    q: int
-    a: int
-    entries: Dict[int, int] = field(repr=False)
-    expected_nonzero_index: int | None
-    expected_nonzero_value: int | None
-    verdict: bool
-
-
-def lemma31_profile(ctx: FieldCtx, a: int) -> PowerSumProfile:
-    """Reduced power-sum profile for a with y = a^((q+1)/3) a primitive cube root."""
-    q = ctx.q
-    if (q + 1) % 3:
-        raise PreconditionViolated("q + 1 must be divisible by 3")
-    y = ctx.pow(a, (q + 1) // 3)
-    if not is_primitive_cube_root(ctx, y):
-        raise PreconditionViolated("a^((q+1)/3) is not a primitive cube root of unity")
-    entries = {}
-    for alpha in range(q):
-        s = alpha + (q - 1 - alpha) * q
-        if s == 0:
-            continue
-        entries[s] = power_sum(ctx, a, s)
-    if q % 2:
-        idx = (q * q - 1) // 2
-        val = ctx.mul(ctx.pow(a, -(q + 1) * (3 * q - 2) // 6), ctx.add(1, y))
-    else:
-        idx = val = None
-    ok = all(v == 0 for s, v in entries.items() if s != idx)
-    if idx is not None:
-        ok = ok and entries.get(idx, 0) == val
-    return PowerSumProfile(
-        q=q,
-        a=a,
-        entries=entries,
-        expected_nonzero_index=idx,
-        expected_nonzero_value=val,
-        verdict=ok,
-    )

@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Sequence, Tuple, Union
@@ -48,12 +47,6 @@ class AllZero(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def poly_trim(f: List[Coeff]) -> List[Coeff]:
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
 def poly_degree(f: Sequence[Coeff]) -> int:
     return len(f) - 1
 
@@ -66,7 +59,7 @@ def poly_mul(f: Sequence[Coeff], g: Sequence[Coeff]) -> List[Coeff]:
         if fi:
             for j, gj in enumerate(g):
                 out[i + j] += fi * gj
-    return poly_trim(out)
+    return fp_trim(out)
 
 
 def poly_eval(f: Sequence[Coeff], x: Coeff) -> Coeff:
@@ -84,7 +77,7 @@ def poly_divmod_exact(f: Sequence[Coeff], g: Sequence[Coeff]) -> List[Coeff]:
     """
     if not g:
         raise ZeroDivisionError("division by the zero polynomial")
-    rem = poly_trim([Fraction(c) for c in f])
+    rem = fp_trim([Fraction(c) for c in f])
     quot = [Fraction(0)] * max(0, len(rem) - len(g) + 1)
     lead = Fraction(g[-1])
     while len(rem) >= len(g):
@@ -94,10 +87,10 @@ def poly_divmod_exact(f: Sequence[Coeff], g: Sequence[Coeff]) -> List[Coeff]:
         for i, gi in enumerate(g):
             rem[k + i] -= c * gi
         rem.pop()
-        poly_trim(rem)
+        fp_trim(rem)
     if rem:
         raise NotDivisible("remainder is not identically zero")
-    out = poly_trim(quot)
+    out = fp_trim(quot)
     if all(c.denominator == 1 for c in out):
         return [int(c) for c in out]
     return out
@@ -158,7 +151,7 @@ class GPolyRecord:
     def reconstruction_holds(self) -> bool:
         scaled = [c * 3**self.d_alpha for c in self.bracket]
         rev = list(reversed(self.g))
-        return poly_mul([0, 1, 1, 1], rev) == poly_trim([Fraction(c) for c in scaled])
+        return poly_mul([0, 1, 1, 1], rev) == fp_trim([Fraction(c) for c in scaled])
 
 
 def g_poly(alpha: int) -> GPolyRecord:
@@ -215,14 +208,14 @@ def _pseudo_rem(f: List[int], g: List[int]) -> List[int]:
         for i, gi in enumerate(g):
             rem[k + i] -= c * gi
         rem.pop()
-        poly_trim(rem)
+        fp_trim(rem)
     return rem
 
 
 def resultant_z(f: Sequence[int], g: Sequence[int]) -> int:
     """Resultant over Z via the fraction-free subresultant remainder sequence."""
-    a = poly_trim([int(c) for c in f])
-    b = poly_trim([int(c) for c in g])
+    a = fp_trim([int(c) for c in f])
+    b = fp_trim([int(c) for c in g])
     if not a or not b:
         raise ValueError("resultant of the zero polynomial")
     if len(a) == 1:
@@ -374,7 +367,7 @@ def roots_mod_p(f: Sequence[int], p: int) -> Tuple[int, ...]:
 
 def poly_str(f: Sequence[Coeff], var: str = "y") -> str:
     """Compact human form, descending: 2y^5+3y^4-23y^3-8y^2-9y+44."""
-    if not poly_trim(list(f)):
+    if not fp_trim(list(f)):
         return "0"
     parts = []
     for k in range(len(f) - 1, -1, -1):
@@ -392,38 +385,7 @@ def poly_str(f: Sequence[Coeff], var: str = "y") -> str:
     return "".join(parts)
 
 
-def poly_text(f: Sequence[Coeff], var: str = "y") -> str:
-    """Machine text form: space-separated "coeff*y^k" terms, descending."""
-    if not poly_trim(list(f)):
-        return f"0*{var}^0"
-    return " ".join(
-        f"{f[k]}*{var}^{k}" for k in range(len(f) - 1, -1, -1) if f[k] != 0
-    )
-
-
-def parse_poly_text(s: str, var: str = "y") -> List[Coeff]:
-    """Inverse of poly_text."""
-    term = re.compile(rf"^(-?\d+(?:/\d+)?)\*{re.escape(var)}\^(\d+)$")
-    coeffs: List[Coeff] = []
-    for tok in s.split():
-        m = term.match(tok)
-        if not m:
-            raise ValueError(f"bad polynomial term: {tok!r}")
-        c = Fraction(m.group(1)) if "/" in m.group(1) else int(m.group(1))
-        k = int(m.group(2))
-        if k >= len(coeffs):
-            coeffs.extend([0] * (k + 1 - len(coeffs)))
-        coeffs[k] = c
-    return poly_trim(coeffs)
-
-
 def poly_json(f: Sequence[Coeff]) -> List[str]:
     """Little-endian array of exact coefficient strings ("num/den" for rationals)."""
     return [str(c) for c in f]
 
-
-def poly_from_json(strings: Sequence[str]) -> List[Coeff]:
-    out: List[Coeff] = []
-    for s in strings:
-        out.append(Fraction(s) if "/" in s else int(s))
-    return poly_trim(out)

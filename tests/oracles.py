@@ -1,0 +1,93 @@
+"""Slow reference computations that only the tests use: the literal power
+sums of the binomial map, the Lemma 3.1 power-sum profile, the partition
+of the units by a^((q+1)/3) and the copy of F_q inside F_{q^2}.  Each is a
+direct evaluation over the whole field, kept apart from the library's
+deciders so that they check those deciders independently."""
+
+from dataclasses import dataclass, field
+from typing import Dict, List, Tuple
+
+from permbinom.ffield import FieldCtx, is_primitive_cube_root
+from permbinom.hermite import BinomialMap, PreconditionViolated
+
+
+def power_sum(ctx: FieldCtx, a: int, s: int) -> int:
+    """Sum of f(x)^s over all x in F_{q^2} (ground-truth oracle)."""
+    tot = 0
+    for fx in map(BinomialMap(ctx, a), ctx.units()):
+        if fx:
+            tot = ctx.add(tot, ctx.pow(fx, s))
+    return tot
+
+
+@dataclass(frozen=True)
+class PowerSumProfile:
+    """All reduced-index power sums of a fixed map, with the expected shape.
+
+    When y = a^((q+1)/3) is a primitive cube root of unity, every entry must
+    vanish except, for odd q, the single index s = (q^2-1)/2 whose value is
+    a^(-(q+1)(3q-2)/6) * (1+y).  ``verdict`` records whether the computed
+    entries match that shape exactly.
+    """
+
+    q: int
+    a: int
+    entries: Dict[int, int] = field(repr=False)
+    expected_nonzero_index: int | None
+    expected_nonzero_value: int | None
+    verdict: bool
+
+
+def lemma31_profile(ctx: FieldCtx, a: int) -> PowerSumProfile:
+    """Reduced power-sum profile for a with y = a^((q+1)/3) a primitive cube root."""
+    q = ctx.q
+    if (q + 1) % 3:
+        raise PreconditionViolated("q + 1 must be divisible by 3")
+    y = ctx.pow(a, (q + 1) // 3)
+    if not is_primitive_cube_root(ctx, y):
+        raise PreconditionViolated("a^((q+1)/3) is not a primitive cube root of unity")
+    entries = {}
+    for alpha in range(q):
+        s = alpha + (q - 1 - alpha) * q
+        if s == 0:
+            continue
+        entries[s] = power_sum(ctx, a, s)
+    if q % 2:
+        idx = (q * q - 1) // 2
+        val = ctx.mul(ctx.pow(a, -(q + 1) * (3 * q - 2) // 6), ctx.add(1, y))
+    else:
+        idx = val = None
+    ok = all(v == 0 for s, v in entries.items() if s != idx)
+    if idx is not None:
+        ok = ok and entries.get(idx, 0) == val
+    return PowerSumProfile(
+        q=q,
+        a=a,
+        entries=entries,
+        expected_nonzero_index=idx,
+        expected_nonzero_value=val,
+        verdict=ok,
+    )
+
+
+def coset_classes(ctx: FieldCtx) -> List[Tuple[int, ...]]:
+    """Partition of the unit group by the value of a^((q+1)/3).
+
+    Each class is a coset of the kernel of a -> a^((q+1)/3), of size
+    (q+1)/3; the tests check that permutation status is constant on every
+    class, which is the orbit lemma behind a representatives-only sweep.
+    """
+    q = ctx.q
+    if (q + 1) % 3:
+        raise ValueError("q + 1 must be divisible by 3")
+    k = (q + 1) // 3
+    buckets: Dict[int, List[int]] = {}
+    for a in ctx.units():
+        buckets.setdefault(ctx.pow(a, k), []).append(a)
+    return [tuple(sorted(members)) for _, members in sorted(buckets.items())]
+
+
+def subfield_q_members(ctx: FieldCtx) -> set:
+    """The copy of F_q inside F_{q^2}: fixed points of z -> z^q."""
+    q = ctx.q
+    return {z for z in ctx.elements() if ctx.pow(z, q) == z or z == 0}

@@ -27,12 +27,11 @@ from permbinom.ffield import SizeExceeded, is_primitive_cube_root, make_field
 from permbinom.hermite import (
     brute_pp_test,
     hermite_pp_test,
-    lemma31_profile,
-    power_sum,
     s_q,
 )
 from permbinom.symalg import eval_mod_p, factor_trial, g_poly, gcd_mod_p, resultant_z
 
+from oracles import lemma31_profile, power_sum
 from printed_polynomials import (
     G2, G5, G8, G11, G14, PRINTED_D, PRINTED_GCD, PRINTED_RESIDUES,
 )

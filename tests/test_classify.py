@@ -5,7 +5,6 @@ from permbinom.classify import (
     CENSUS_TARGETS,
     SPORADIC_TABLE,
     UnsupportedQ,
-    coset_classes,
     elimination_pipeline,
     prime_powers,
     sporadic_census,
@@ -14,6 +13,8 @@ from permbinom.classify import (
 )
 from permbinom.ffield import SizeExceeded
 from permbinom.hermite import brute_pp_test
+
+from oracles import coset_classes
 
 EXPECTED_COUNTS = {2: 2, 5: 10, 8: 15, 11: 16, 17: 12, 23: 8, 29: 10, 32: 22}
 
@@ -152,6 +153,11 @@ class TestSweep:
     def test_hard_cap(self):
         with pytest.raises(SizeExceeded):
             sweep(129)
+
+    @pytest.mark.parametrize("q_max", [1, 0, -7])
+    def test_no_prime_power_below_bound(self, q_max):
+        with pytest.raises(ValueError, match="no prime power"):
+            sweep(q_max)
 
     def test_jobs_give_same_answer(self):
         a = sweep(7, method="both", jobs=1)

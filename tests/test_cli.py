@@ -140,6 +140,14 @@ class TestBadInputExitCodes:
     def test_verify_above_hard_cap(self, capsys):
         self.assert_usage_error(capsys, "verify", "--max-q", "200", says="hard cap")
 
+    @pytest.mark.parametrize("max_q", ["1", "0", "-7"])
+    def test_verify_below_smallest_prime_power(self, capsys, max_q):
+        self.assert_usage_error(capsys, "verify", "--max-q", max_q, says="no prime power")
+
+    def test_resultant_zero_with_factor(self, capsys):
+        self.assert_usage_error(capsys, "resultant", "--left", "2", "--right", "2", "--factor",
+                                says="Res(g_2, g_2) = 0")
+
     def test_gcdchain_non_prime_p(self, capsys):
         self.assert_usage_error(capsys, "gcdchain", "--p", "4", says="p = 4 is not prime")
 
@@ -152,8 +160,8 @@ class TestContract:
         assert invoke(capsys)[0] == EXIT_USAGE
 
     def test_json_is_deterministic(self, capsys):
-        a = invoke(capsys, "verify", "--max-q", "8", "--json", "--seed", "1")[1]
-        b = invoke(capsys, "verify", "--max-q", "8", "--json", "--seed", "1")[1]
+        a = invoke(capsys, "verify", "--max-q", "8", "--json")[1]
+        b = invoke(capsys, "verify", "--max-q", "8", "--json")[1]
         assert a == b
 
     def test_wall_time_on_stderr_not_stdout(self, capsys):

@@ -4,7 +4,9 @@ The files under ``tests/golden/`` were captured before the exp/log tables
 were built by shift-and-reduce and before the gcd chains took their roots
 from ``symalg.roots_mod_p``, so they pin that tables, encodings, verdicts
 and chains did not move.  Stdout has no volatile field: the wall time goes
-to stderr, which is not compared.
+to stderr, which is not compared.  The one edit since capture drops the
+``"seed": 0`` key from the ``config`` of ``verify`` when its ``--seed``
+flag, which nothing read, was removed.
 """
 
 from pathlib import Path

@@ -12,10 +12,10 @@ from permbinom.hermite import (
     has_nonzero_root,
     hermite_pp_test,
     interval_census,
-    lemma31_profile,
-    power_sum,
     s_q,
 )
+
+from oracles import lemma31_profile, power_sum
 
 PRIME_POWERS_13 = (2, 3, 4, 5, 7, 8, 9, 11, 13)
 PRIME_POWERS_32 = PRIME_POWERS_13 + (16, 17, 19, 23, 25, 27, 29, 31, 32)
@@ -143,7 +143,8 @@ class TestIntervalCensus:
 
     def test_stated_versus_working_upper_end(self):
         c = interval_census(8, 2)
-        assert (c.lo, c.hi_stated, c.hi_working) == (-18, 1, 3)
+        # the displayed upper end is alpha - 1 = 1; the working one is 3
+        assert (c.lo, c.hi_working) == (-18, 3) and c.hi_working != c.alpha - 1
 
     def test_dichotomy_up_to_64(self):
         for q in (2, 5, 8, 11, 17, 23, 29, 32, 41, 47, 53, 59):
@@ -242,9 +243,13 @@ class TestHermiteEquivalence:
 
     @pytest.mark.parametrize("q", [2, 4, 5, 8])
     def test_full_range_slow_oracle(self, fields, q):
+        # Hermite's criterion over every power sum s in [1, q^2-2], not
+        # only the reduced indices that hermite_pp_test checks through S_q.
         ctx = ctx_for_q(fields, q)
         for a in ctx.units():
-            assert hermite_pp_test(ctx, a, full_range=True) == brute_pp_test(ctx, a)
+            full = not has_nonzero_root(ctx, a) and all(
+                power_sum(ctx, a, s) == 0 for s in range(1, ctx.q2 - 1))
+            assert full == hermite_pp_test(ctx, a) == brute_pp_test(ctx, a)
 
 
 class TestRootCondition:
