@@ -31,7 +31,6 @@ from permbinom.symalg import (
     eval_mod_p,
     g_poly,
     gcd_mod_p,
-    poly_str,
     resultant_z,
     roots_mod_p,
 )
@@ -59,10 +58,6 @@ class SporadicSpec:
     q: int
     exponent: int
     factors: Tuple[Tuple[int, ...], ...]
-
-    def condition_str(self) -> str:
-        prod = "".join(f"({poly_str(f, 'x')})" for f in self.factors)
-        return f"a^{self.exponent} is a root of {prod}"
 
 
 SPORADIC_TABLE: Tuple[SporadicSpec, ...] = (
@@ -334,12 +329,14 @@ def sweep(q_max: int = DEFAULT_Q_MAX, method: str = "both", jobs: int = 1) -> Sw
         raise ValueError(f"unknown method {method!r}")
     if q_max < 2:
         raise ValueError(f"q_max = {q_max} admits no prime power")
+    if jobs < 1:
+        raise ValueError(f"jobs = {jobs} must be at least 1")
     if q_max > BRUTE_HARD_CAP:
         raise SizeExceeded(f"q_max = {q_max} exceeds the hard cap {BRUTE_HARD_CAP}")
     qs = prime_powers(q_max)
     tasks = [(q, method) for q in qs]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             per_q = list(pool.map(_sweep_one_q, tasks))
     else:
         per_q = [_sweep_one_q(t) for t in tasks]

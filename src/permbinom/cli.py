@@ -74,7 +74,7 @@ def _factorization(fact: symalg.FactorResult) -> tuple:
 def cmd_verify(args) -> int:
     try:
         res = classify.sweep(q_max=args.max_q, method=args.method, jobs=args.jobs)
-    except ValueError as exc:  # SizeExceeded, or no prime power up to max_q
+    except ValueError as exc:  # SizeExceeded, no prime power up to max_q, jobs < 1
         raise UsageError(exc) from None
     status = "pass" if not res.disagreements else "fail"
     payload = _report(
@@ -114,7 +114,7 @@ def cmd_hermite_profile(args) -> int:
     q = ctx.q
     sums = {alpha: hermite.s_q(ctx, a, alpha) for alpha in range(q)}
     root_ok = not hermite.has_nonzero_root(ctx, a)
-    is_pp = root_ok and all(v == 0 for v in sums.values())
+    is_pp = hermite.hermite_pp_test(ctx, a)
     payload = _report(
         "hermite-profile",
         {"q": args.q, "a": a},

@@ -260,9 +260,6 @@ class FieldCtx:
     def __hash__(self) -> int:
         return hash((self.p, self.e))
 
-    def __repr__(self) -> str:
-        return f"FieldCtx(F_{self.p}^{self.n}, q={self.q}, modulus={list(self.modulus)})"
-
     def descriptor(self) -> str:
         """The "p^e" text form of the base field F_q."""
         return f"{self.p}^{self.e}"

@@ -92,19 +92,16 @@ def interval_census(q: int, alpha: int) -> IntervalCensus:
     )
 
 
-def s_q(ctx: FieldCtx, a: int, alpha: int) -> int:
-    """The coefficient sum S_q(alpha, a).
-
-    Sums C(alpha, i) * C(q-1-alpha, j) * a^(-i-jq) over all (i, j) with
-    -alpha-1+3(i-j) a multiple of q+1; only the <= 3 admissible differences
-    d = i - j are iterated, so the cost is O(q).  Binomials are taken mod p
-    via Lucas' theorem.  Stored without the leading minus sign of the
-    power-sum identity (checked against ``power_sum`` in tests/oracles.py).
+@functools.lru_cache(maxsize=1024)
+def _s_q_terms(p: int, q: int, alpha: int) -> tuple:
+    """The nonzero terms (c, k) of S_q(alpha, a) = sum of c * a^k, with
+    c = C(alpha, i) * C(q-1-alpha, j) mod p (Lucas) and k = -i - j*q mod
+    q^2 - 1.  Only the <= 3 admissible differences d = i - j are iterated.
+    Keyed on ints: FieldCtx equality ignores tables.  1024 entries hold
+    every alpha of the largest tabled q and no lists of past fields.
     """
-    if a == 0:
-        raise PreconditionViolated("a must be nonzero")
-    p, q = ctx.p, ctx.q
-    total = 0
+    order = q * q - 1
+    terms = []
     for l in interval_census(q, alpha).multiples:
         num = alpha + 1 + l * (q + 1)
         if num % 3:
@@ -116,7 +113,23 @@ def s_q(ctx: FieldCtx, a: int, alpha: int) -> int:
             j = i - d
             c = lucas_binom(p, alpha, i) * lucas_binom(p, q - 1 - alpha, j) % p
             if c:
-                total = ctx.add(total, ctx.mul(c, ctx.pow(a, -i - j * q)))
+                terms.append((c, (-i - j * q) % order))
+    return tuple(terms)
+
+
+def s_q(ctx: FieldCtx, a: int, alpha: int) -> int:
+    """The coefficient sum S_q(alpha, a): the sum of C(alpha, i) *
+    C(q-1-alpha, j) * a^(-i-jq) over all (i, j) with -alpha-1+3(i-j) a
+    multiple of q+1.  The a-free term list is built once per (p, q, alpha);
+    then each call costs one mul, pow and add per nonzero term.  Stored
+    without the leading minus sign of the power-sum identity (checked
+    against ``power_sum`` in tests/oracles.py).
+    """
+    if a == 0:
+        raise PreconditionViolated("a must be nonzero")
+    total = 0
+    for c, k in _s_q_terms(ctx.p, ctx.q, alpha):
+        total = ctx.add(total, ctx.mul(c, ctx.pow(a, k)))
     return total
 
 

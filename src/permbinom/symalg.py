@@ -62,13 +62,6 @@ def poly_mul(f: Sequence[Coeff], g: Sequence[Coeff]) -> List[Coeff]:
     return fp_trim(out)
 
 
-def poly_eval(f: Sequence[Coeff], x: Coeff) -> Coeff:
-    r = 0
-    for c in reversed(f):
-        r = r * x + c
-    return r
-
-
 def poly_divmod_exact(f: Sequence[Coeff], g: Sequence[Coeff]) -> List[Coeff]:
     """Quotient of f by g; raises NotDivisible unless the remainder vanishes.
 

@@ -1,14 +1,46 @@
 """Slow reference computations that only the tests use: the literal power
 sums of the binomial map, the Lemma 3.1 power-sum profile, the partition
-of the units by a^((q+1)/3) and the copy of F_q inside F_{q^2}.  Each is a
-direct evaluation over the whole field, kept apart from the library's
-deciders so that they check those deciders independently."""
+of the units by a^((q+1)/3), the copy of F_q inside F_{q^2}, S_q(alpha, a)
+with its terms rebuilt on every call, and exact integer polynomial
+evaluation.  Each is a direct computation, kept apart from the library so
+that it checks the library independently."""
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from permbinom.ffield import FieldCtx, is_primitive_cube_root
-from permbinom.hermite import BinomialMap, PreconditionViolated
+from permbinom.ffield import FieldCtx, is_primitive_cube_root, lucas_binom
+from permbinom.hermite import BinomialMap, PreconditionViolated, interval_census
+
+
+def poly_eval(f: Sequence[int], x: int) -> int:
+    """f(x) over the integers, by Horner's rule (``eval_mod_p``'s oracle)."""
+    r = 0
+    for c in reversed(f):
+        r = r * x + c
+    return r
+
+
+def s_q_oracle(ctx: FieldCtx, a: int, alpha: int) -> int:
+    """S_q(alpha, a) with the census and Lucas binomials recomputed on every
+    call: the per-call loop that ``hermite.s_q`` replaced by a cached term
+    list."""
+    if a == 0:
+        raise PreconditionViolated("a must be nonzero")
+    p, q = ctx.p, ctx.q
+    total = 0
+    for l in interval_census(q, alpha).multiples:
+        num = alpha + 1 + l * (q + 1)
+        if num % 3:
+            continue  # no (i, j) pair can satisfy the congruence
+        d = num // 3
+        i_lo = max(0, d)
+        i_hi = min(alpha, q - 1 - alpha + d)
+        for i in range(i_lo, i_hi + 1):
+            j = i - d
+            c = lucas_binom(p, alpha, i) * lucas_binom(p, q - 1 - alpha, j) % p
+            if c:
+                total = ctx.add(total, ctx.mul(c, ctx.pow(a, -i - j * q)))
+    return total
 
 
 def power_sum(ctx: FieldCtx, a: int, s: int) -> int:

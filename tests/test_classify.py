@@ -44,10 +44,6 @@ class TestPredicate:
         qs = [row.q for row in SPORADIC_TABLE]
         assert qs == sorted(qs) == [5, 8, 11, 17, 23, 29]
 
-    def test_condition_str_smoke(self):
-        row = SPORADIC_TABLE[-1]
-        assert "a^10" in row.condition_str()
-
 
 class TestCensus:
     @pytest.mark.parametrize("q", CENSUS_TARGETS)
@@ -163,6 +159,29 @@ class TestSweep:
         a = sweep(7, method="both", jobs=1)
         b = sweep(7, method="both", jobs=2)
         assert a.verdicts == b.verdicts
+
+    def test_workers_capped_at_task_count(self, monkeypatch):
+        # A stand-in pool records max_workers and maps in this process, so a
+        # large --jobs value is checked without starting any worker.
+        seen = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(classify, "ProcessPoolExecutor", FakePool)
+        capped = sweep(8, method="brute", jobs=10_000)
+        assert seen == [len(prime_powers(8))] == [6]
+        assert capped.verdicts == sweep(8, method="brute", jobs=1).verdicts
 
     def test_prime_powers(self):
         assert prime_powers(32) == [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19,

@@ -148,6 +148,11 @@ class TestBadInputExitCodes:
         self.assert_usage_error(capsys, "resultant", "--left", "2", "--right", "2", "--factor",
                                 says="Res(g_2, g_2) = 0")
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_verify_jobs_below_one(self, capsys, jobs):
+        self.assert_usage_error(capsys, "verify", "--max-q", "8", "--jobs", jobs,
+                                says=f"jobs = {jobs}")
+
     def test_gcdchain_non_prime_p(self, capsys):
         self.assert_usage_error(capsys, "gcdchain", "--p", "4", says="p = 4 is not prime")
 

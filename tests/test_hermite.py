@@ -8,6 +8,7 @@ from permbinom.hermite import (
     BinomialMap,
     PreconditionViolated,
     _power_table,
+    _s_q_terms,
     brute_pp_test,
     has_nonzero_root,
     hermite_pp_test,
@@ -15,7 +16,7 @@ from permbinom.hermite import (
     s_q,
 )
 
-from oracles import lemma31_profile, power_sum
+from oracles import lemma31_profile, power_sum, s_q_oracle
 
 PRIME_POWERS_13 = (2, 3, 4, 5, 7, 8, 9, 11, 13)
 PRIME_POWERS_32 = PRIME_POWERS_13 + (16, 17, 19, 23, 25, 27, 29, 31, 32)
@@ -128,6 +129,51 @@ class TestSq:
             val = s_q(ctx, a, 0)
             assert val == ctx.neg(ctx.pow(a, -3))
             assert val != 0
+
+
+class TestSqTermCache:
+    """s_q over the cached term list against the per-call loop it replaced."""
+
+    @pytest.mark.parametrize("q", PRIME_POWERS_32)
+    def test_matches_oracle_exhaustively(self, fields, q):
+        ctx = ctx_for_q(fields, q)
+        for a in ctx.units():
+            for alpha in range(q):
+                assert s_q(ctx, a, alpha) == s_q_oracle(ctx, a, alpha), (q, a, alpha)
+
+    @pytest.mark.parametrize("p, e", [(2, 7), (127, 1), (5, 3)])
+    def test_matches_oracle_sampled(self, fields, p, e):
+        ctx = fields(p, e)
+        rng = random.Random(ctx.q)
+        for _ in range(300):
+            a, alpha = rng.randrange(1, ctx.q2), rng.randrange(ctx.q)
+            assert s_q(ctx, a, alpha) == s_q_oracle(ctx, a, alpha), (ctx.q, a, alpha)
+
+    @pytest.mark.parametrize("p, e", [(2, 3), (5, 1), (3, 2)])
+    @pytest.mark.parametrize("untabled_first", [False, True])
+    def test_tabled_and_untabled_share_terms(self, fields, monkeypatch, p, e, untabled_first):
+        # The two contexts compare equal; the terms are keyed on (p, q, alpha)
+        # and read no table, so whichever warms the cache serves the other.
+        tabled = fields(p, e)
+        monkeypatch.setattr(ffield, "LOG_TABLE_BOUND", 0)
+        untabled = FieldCtx(p, e)
+        assert untabled._exp is None and tabled._exp is not None and untabled == tabled
+        _s_q_terms.cache_clear()
+        first, second = (untabled, tabled) if untabled_first else (tabled, untabled)
+        for ctx in (first, second):
+            for a in ctx.units():
+                for alpha in range(ctx.q):
+                    assert s_q(ctx, a, alpha) == s_q_oracle(tabled, a, alpha), (a, alpha)
+        assert _s_q_terms.cache_info().misses == tabled.q
+
+    def test_preconditions(self, fields):
+        ctx = fields(5, 1)
+        _s_q_terms(5, 5, 0)  # warm the cache for this field
+        with pytest.raises(PreconditionViolated):
+            s_q(ctx, 0, 0)
+        for alpha in (-1, ctx.q, ctx.q + 3):
+            with pytest.raises(PreconditionViolated):
+                s_q(ctx, 1, alpha)
 
 
 class TestIntervalCensus:

@@ -18,7 +18,6 @@ from permbinom.symalg import (
     gcd_mod_p,
     gen_binom,
     poly_divmod_exact,
-    poly_eval,
     poly_json,
     poly_mul,
     poly_str,
@@ -27,6 +26,7 @@ from permbinom.symalg import (
 )
 
 from conftest import sylvester_resultant
+from oracles import poly_eval
 from printed_polynomials import G2, G5, G8, G11, G14, PRINTED_D
 
 FIXTURES = {2: G2, 5: G5, 8: G8, 11: G11, 14: G14}
