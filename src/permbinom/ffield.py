@@ -6,6 +6,11 @@ encoded as the base-p integer sum(c_k * p**k).  This makes the whole field
 enumerable as range(p**n) and gives a stable, compact serialization (the
 decimal form of the encoding).
 
+Every field carries three int32 tables over a generator g: exp[k] = g^k,
+log[x] (-1 at x = 0) and the Zech table zech[k] = log(1 + g^k) (-1 where
+g^k = -1).  Multiplication and powers are log/exp lookups, and a + b =
+a * (1 + b/a) is one Zech lookup, for every p.
+
 Polynomials over F_p (``FpPoly``) are little-endian lists of residues with
 no trailing zeros; [] is the zero polynomial.
 """
@@ -14,13 +19,12 @@ from __future__ import annotations
 
 import math
 import operator
+from array import array
 from typing import Iterator, List, Sequence
 
-# Hard bound on field size accepted by make_field.
+# Hard bound on field size accepted by make_field.  Every accepted field is
+# tabled: exp, log and Zech hold 12 bytes per element, 192 MiB at the bound.
 DEFAULT_SIZE_BOUND = 2**24
-# Below this size a discrete-log table pair is built so that multiplication
-# and exponentiation are table lookups.
-LOG_TABLE_BOUND = 2**20
 
 
 class NonPrimeP(ValueError):
@@ -178,47 +182,55 @@ class FieldCtx:
     generator is the smallest-encoding generator of the unit group.
     """
 
-    __slots__ = ("p", "e", "n", "q", "q2", "modulus", "generator", "_exp", "_log")
+    __slots__ = ("p", "e", "n", "q", "q2", "modulus", "generator", "_exp", "_log", "_zech")
 
     def __init__(self, p: int, e: int):
-        if not is_prime(p):
-            raise NonPrimeP(f"p = {p} is not prime")
         if e < 1:
             raise ValueError("e must be >= 1")
         n = 2 * e
-        q2 = p**n
-        if q2 > DEFAULT_SIZE_BOUND:
-            raise SizeExceeded(f"p^(2e) = {q2} exceeds the size bound {DEFAULT_SIZE_BOUND}")
+        # The bound comes first, so p^n and trial division stay small; p < 2
+        # falls through to the primality test.
+        if p > 1 and (n >= DEFAULT_SIZE_BOUND.bit_length() or p**n > DEFAULT_SIZE_BOUND):
+            raise SizeExceeded(f"p^(2e) with p = {p}, e = {e} exceeds the size bound "
+                               f"{DEFAULT_SIZE_BOUND}")
+        if not is_prime(p):
+            raise NonPrimeP(f"p = {p} is not prime")
         self.p = p
         self.e = e
         self.n = n
         self.q = p**e
-        self.q2 = q2
+        self.q2 = p**n
         self.modulus = tuple(canonical_modulus(p, n))
-        self.generator: int | None = None
-        self._exp: List[int] | None = None
-        self._log: List[int] | None = None
-        if q2 <= LOG_TABLE_BOUND:
-            self._build_tables()
+        self._build_tables()
 
     # -- construction helpers -------------------------------------------------
 
     def _mul_poly(self, a: int, b: int) -> int:
-        """Multiplication via polynomial arithmetic: the generator search, fields
-        without tables, and the tests' oracle for the tables."""
+        """Multiplication via polynomial arithmetic: the generator search,
+        which runs before the tables exist, and the tests' oracle for them."""
         fa, fb = self.to_coeffs(a), self.to_coeffs(b)
         return self.from_coeffs(fp_mulmod(list(fa), list(fb), list(self.modulus), self.p))
 
     def _build_tables(self) -> None:
-        # Before the tables exist, pow multiplies polynomials.
+        def pow_poly(a: int, k: int) -> int:
+            r = 1
+            while k:
+                if k & 1:
+                    r = self._mul_poly(r, a)
+                a, k = self._mul_poly(a, a), k >> 1
+            return r
+
         order = self.q2 - 1
         cofactors = [order // r for r in prime_factors(order)]
         self.generator = next(g for g in range(2, self.q2)
-                              if all(self.pow(g, k) != 1 for k in cofactors))
-        self._exp = list(self._generator_powers())
-        self._log = [0] * self.q2
-        for i, a in enumerate(self._exp):
-            self._log[a] = i
+                              if all(pow_poly(g, k) != 1 for k in cofactors))
+        self._exp = array("i", self._generator_powers())
+        log = self._log = array("i", [-1]) * self.q2
+        for i, x in enumerate(self._exp):
+            log[x] = i
+        # 1 + x changes only digit 0 of x; for x = -1 it is 0, whose log is -1.
+        p = self.p
+        self._zech = array("i", (log[x - x % p + (x + 1) % p] for x in self._exp))
 
     def _generator_powers(self) -> Iterator[int]:
         """g^0, ..., g^(q^2 - 2), each acc * g by Horner's rule on g's digits:
@@ -292,34 +304,22 @@ class FieldCtx:
     # -- arithmetic ------------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        p = self.p
-        if p == 2:
-            return a ^ b
-        v, mult = 0, 1
-        while a or b:
-            v += (a % p + b % p) % p * mult
-            a //= p
-            b //= p
-            mult *= p
-        return v
+        """a + b = a * (1 + b/a): one Zech lookup."""
+        if a == 0:
+            return b
+        if b == 0:
+            return a
+        order, la = self.q2 - 1, self._log[a]
+        z = self._zech[(self._log[b] - la) % order]
+        return 0 if z < 0 else self._exp[(la + z) % order]
 
     def neg(self, a: int) -> int:
-        p = self.p
-        if p == 2:
-            return a
-        v, mult = 0, 1
-        while a:
-            v += (p - a % p) % p * mult
-            a //= p
-            mult *= p
-        return v
+        return self.mul(a, self.p - 1)
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        if self._exp is not None:
-            return self._exp[(self._log[a] + self._log[b]) % (self.q2 - 1)]
-        return self._mul_poly(a, b)
+        return self._exp[(self._log[a] + self._log[b]) % (self.q2 - 1)]
 
     def pow(self, a: int, k: int) -> int:
         """a^k; negative k means the inverse power a^(k mod (q^2 - 1))."""
@@ -327,17 +327,7 @@ class FieldCtx:
             if k < 0:
                 raise ZeroInverse("negative power of zero")
             return 1 if k == 0 else 0
-        order = self.q2 - 1
-        k %= order
-        if self._exp is not None:
-            return self._exp[self._log[a] * k % order]
-        r, b = 1, a
-        while k:
-            if k & 1:
-                r = self.mul(r, b)
-            b = self.mul(b, b)
-            k >>= 1
-        return r
+        return self._exp[self._log[a] * k % (self.q2 - 1)]
 
     def inv(self, a: int) -> int:
         return self.pow(a, -1)

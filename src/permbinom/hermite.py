@@ -4,8 +4,9 @@ the binomial map x -> a*x + x^(3q-2) on F_{q^2}.
 Two independent permutation tests are provided; both stop once the answer
 is known:
 
-- ``brute_pp_test``: the ground truth.  Evaluates the map literally one point
-  at a time and returns at the first collision in a bitset.
+- ``brute_pp_test``: the ground truth.  Evaluates the map one point
+  x = g^k at a time in the log domain, one Zech lookup per point, and
+  returns at the first zero or the first collision in a bitset.
 - ``hermite_pp_test``: the reduced power-sum criterion.  The map permutes
   F_{q^2} iff 0 is its only root and S_q(alpha, a) = 0 for all
   0 <= alpha <= q-1; only the exponents s = alpha + (q-1-alpha)q need
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 from permbinom.ffield import FieldCtx, lucas_binom
@@ -47,13 +47,6 @@ class BinomialMap:
         # truth cannot inherit a simplification under test.
         ctx = self.ctx
         return ctx.add(ctx.mul(self.a, x), ctx.pow(x, self.exponent))
-
-
-@functools.lru_cache(maxsize=2)
-def _power_table(ctx: FieldCtx, k: int) -> tuple:
-    """x^k for every x in the field, indexed by encoding.  A sweep asks for
-    one field at a time, so two entries keep no q^2-tuples of past fields."""
-    return tuple(ctx.pow(x, k) if x else 0 for x in range(ctx.q2))
 
 
 @dataclass(frozen=True)
@@ -92,13 +85,13 @@ def interval_census(q: int, alpha: int) -> IntervalCensus:
     )
 
 
-@functools.lru_cache(maxsize=1024)
+@functools.lru_cache(maxsize=4096)
 def _s_q_terms(p: int, q: int, alpha: int) -> tuple:
     """The nonzero terms (c, k) of S_q(alpha, a) = sum of c * a^k, with
     c = C(alpha, i) * C(q-1-alpha, j) mod p (Lucas) and k = -i - j*q mod
     q^2 - 1.  Only the <= 3 admissible differences d = i - j are iterated.
-    Keyed on ints: FieldCtx equality ignores tables.  1024 entries hold
-    every alpha of the largest tabled q and no lists of past fields.
+    Keyed on ints, so the cache keeps no field's tables alive.  4096
+    entries hold every alpha of the largest accepted q, 2^12.
     """
     order = q * q - 1
     terms = []
@@ -151,22 +144,25 @@ def has_nonzero_root(ctx: FieldCtx, a: int) -> bool:
 def brute_pp_test(ctx: FieldCtx, a: int) -> bool:
     """Ground truth: does the map hit all q^2 values?
 
-    f(x) = a*x + x^(3q-2) is evaluated one x at a time, a*x by a log-table
-    multiply (``ctx.mul`` in a field without tables) and x^(3q-2) from
-    ``_power_table``, and the scan returns at the first repeated value.
+    The scan runs over x = g^k, k = 0, 1, ..., in the log domain: with
+    la = log a, f(x) = g^(la+k) * (1 + g^((3q-3)k - la)), so each point is
+    one Zech lookup at an index that steps by 3q - 3.  It returns at the
+    first zero (f(0) = 0 already) or the first repeated log.
     """
     if a == 0:
         raise PreconditionViolated("a must be nonzero")
-    cube, exp, log, m = _power_table(ctx, 3 * ctx.q - 2), ctx._exp, ctx._log, ctx.q2 - 1
-    add, mul = operator.xor if ctx.p == 2 else ctx.add, ctx.mul  # p = 2: + is XOR
-    la = log[a] if exp else None
-    seen = bytearray(ctx.q2)
-    seen[0] = 1  # f(0) = 0
-    for x in range(1, ctx.q2):
-        fx = add(exp[(la + log[x]) % m] if exp else mul(a, x), cube[x])
-        if seen[fx]:
+    zech, m, la = ctx._zech, ctx.q2 - 1, ctx._log[a]
+    step, z = 3 * ctx.q - 3, -la % m
+    seen = bytearray(m)
+    for t in range(la, la + m):  # t = la + k, the log of a*x
+        s = zech[z]
+        if s < 0:
             return False
-        seen[fx] = 1
+        v = (t + s) % m
+        if seen[v]:
+            return False
+        seen[v] = 1
+        z = (z + step) % m
     return True
 
 

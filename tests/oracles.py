@@ -1,15 +1,39 @@
-"""Slow reference computations that only the tests use: the literal power
-sums of the binomial map, the Lemma 3.1 power-sum profile, the partition
-of the units by a^((q+1)/3), the copy of F_q inside F_{q^2}, S_q(alpha, a)
-with its terms rebuilt on every call, and exact integer polynomial
-evaluation.  Each is a direct computation, kept apart from the library so
-that it checks the library independently."""
+"""Slow reference computations that only the tests use: addition and
+negation digit by digit, the literal power sums of the binomial map, the
+Lemma 3.1 power-sum profile, the partition of the units by a^((q+1)/3),
+the copy of F_q inside F_{q^2}, S_q(alpha, a) with its terms rebuilt on
+every call, and exact integer polynomial evaluation.  Each is a direct
+computation, kept apart from the library so that it checks the library
+independently."""
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 from permbinom.ffield import FieldCtx, is_primitive_cube_root, lucas_binom
 from permbinom.hermite import BinomialMap, PreconditionViolated, interval_census
+
+
+def oracle_add(ctx: FieldCtx, a: int, b: int) -> int:
+    """a + b by adding base-p digits mod p (``FieldCtx.add``'s oracle)."""
+    p = ctx.p
+    v, mult = 0, 1
+    while a or b:
+        v += (a % p + b % p) % p * mult
+        a //= p
+        b //= p
+        mult *= p
+    return v
+
+
+def oracle_neg(ctx: FieldCtx, a: int) -> int:
+    """-a by negating base-p digits mod p (``FieldCtx.neg``'s oracle)."""
+    p = ctx.p
+    v, mult = 0, 1
+    while a:
+        v += (p - a % p) % p * mult
+        a //= p
+        mult *= p
+    return v
 
 
 def poly_eval(f: Sequence[int], x: int) -> int:

@@ -23,6 +23,7 @@ from permbinom.classify import (
     elimination_pipeline,
     sweep,
 )
+from permbinom.cli import EXIT_OK, run
 from permbinom.ffield import SizeExceeded, is_primitive_cube_root, make_field
 from permbinom.hermite import (
     brute_pp_test,
@@ -253,3 +254,11 @@ def test_criterion_9_full_scale_honesty():
         assert sample
         for a in sample:
             assert brute_pp_test(ctx, a) and hermite_pp_test(ctx, a)
+
+
+def test_criterion_9_top_of_range_check(capsys):
+    with checkpoint("criterion 9: check at q = 2^11", 30):
+        # q^2 = 2^22, near the size bound 2^24: the field is tabled like
+        # every accepted field, so both deciders finish.
+        assert run(["check", "--q", "2^11", "--a", "1"]) == EXIT_OK
+        assert "agree = True" in capsys.readouterr().out

@@ -137,6 +137,15 @@ class TestBadInputExitCodes:
         self.assert_usage_error(capsys, "check", "--q", "2^13", "--a", "1",
                                 says="size bound")
 
+    @pytest.mark.parametrize("q, p, e", [("1000000000000000003", "1000000000000000003", "1"),
+                                         ("3^300000000", "3", "300000000"),
+                                         ("3^10000000", "3", "10000000")])
+    def test_check_field_too_large_before_primality(self, capsys, q, p, e):
+        # The bound is checked before the trial-division primality test and
+        # before p^(2e) is computed, so these return at once.
+        self.assert_usage_error(capsys, "check", "--q", q, "--a", "1",
+                                says=f"p = {p}, e = {e} exceeds the size bound")
+
     def test_verify_above_hard_cap(self, capsys):
         self.assert_usage_error(capsys, "verify", "--max-q", "200", says="hard cap")
 

@@ -15,7 +15,7 @@ from permbinom.ffield import (
     parse_field_descriptor,
 )
 
-from oracles import subfield_q_members
+from oracles import oracle_add, oracle_neg, subfield_q_members
 
 
 def first_irreducible_by_enumeration(p, n):
@@ -195,12 +195,46 @@ class TestCubeRootsAndSubfield:
                 assert ctx.mul(a, b) in sub and ctx.add(a, b) in sub
 
 
-# Every (p, e) with q <= 32, and the three bench fields 2^7, 127 and 5^3.
-TABLE_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1),
-                (13, 1), (2, 4), (17, 1), (19, 1), (23, 1), (5, 2), (3, 3), (29, 1),
-                (31, 1), (2, 5), (2, 7), (127, 1), (5, 3)]
+# Every (p, e) with q <= 16, then the rest with q <= 32, then the three bench
+# fields 2^7, 127 and 5^3.
+FIELDS_16 = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1),
+             (13, 1), (2, 4)]
+FIELDS_32 = FIELDS_16 + [(17, 1), (19, 1), (23, 1), (5, 2), (3, 3), (29, 1), (31, 1), (2, 5)]
+BENCH_FIELDS = [(2, 7), (127, 1), (5, 3)]
+TABLE_FIELDS = FIELDS_32 + BENCH_FIELDS
 
-# sha256 of str(ctx._exp), captured from the tables built by one polynomial
+
+class TestAddAgainstDigits:
+    """Zech-table addition and negation against digit-by-digit oracles."""
+
+    @pytest.mark.parametrize("p,e", FIELDS_16)
+    def test_every_pair(self, p, e, fields):
+        ctx = fields(p, e)
+        for a in ctx.elements():
+            assert ctx.neg(a) == oracle_neg(ctx, a), a
+            for b in ctx.elements():
+                assert ctx.add(a, b) == oracle_add(ctx, a, b), (a, b)
+
+    @pytest.mark.parametrize("p,e", BENCH_FIELDS)
+    def test_sampled_pairs(self, p, e, fields):
+        ctx = fields(p, e)
+        rng = random.Random(ctx.q2)
+        for _ in range(2000):
+            a, b = rng.randrange(ctx.q2), rng.randrange(ctx.q2)
+            assert ctx.add(a, b) == oracle_add(ctx, a, b), (a, b)
+            assert ctx.neg(a) == oracle_neg(ctx, a), a
+
+    @pytest.mark.parametrize("p,e", FIELDS_32)
+    def test_zech_is_log_of_one_plus(self, p, e, fields):
+        ctx = fields(p, e)
+        minus_one = oracle_neg(ctx, 1)
+        assert len(ctx._zech) == ctx.q2 - 1
+        for k, x in enumerate(ctx._exp):
+            expected = -1 if x == minus_one else ctx._log[oracle_add(ctx, 1, x)]
+            assert ctx._zech[k] == expected, k
+
+
+# sha256 of str(list(ctx._exp)), captured from the tables built by one polynomial
 # multiply per element, before shift-and-reduce replaced that loop.
 EXP_SHA256 = {
     (2, 7): "f601610c008abf753cb51848f5dd041df596932ee845cf0cc4900836b2bcddc7",
@@ -225,7 +259,7 @@ def steps_by(ctx, powers, g):
 
 
 class TestTables:
-    """The exp/log tables against polynomial arithmetic."""
+    """The exp/log tables against polynomial arithmetic; log[0] is -1."""
 
     @pytest.mark.parametrize("p,e", TABLE_FIELDS)
     def test_exp_steps_by_the_generator(self, p, e, fields):
@@ -236,7 +270,7 @@ class TestTables:
     @pytest.mark.parametrize("p,e", TABLE_FIELDS)
     def test_log_inverts_exp(self, p, e, fields):
         ctx = fields(p, e)
-        assert len(ctx._log) == ctx.q2
+        assert len(ctx._log) == ctx.q2 and ctx._log[0] == -1
         assert all(ctx._log[a] == i for i, a in enumerate(ctx._exp))
         assert all(ctx._exp[ctx._log[a]] == a for a in ctx.units())
 
@@ -261,7 +295,7 @@ class TestTables:
 
     @pytest.mark.parametrize("p,e", sorted(EXP_SHA256))
     def test_exp_digest_unchanged(self, p, e, fields):
-        digest = hashlib.sha256(str(fields(p, e)._exp).encode()).hexdigest()
+        digest = hashlib.sha256(str(list(fields(p, e)._exp)).encode()).hexdigest()
         assert digest == EXP_SHA256[(p, e)]
 
 

@@ -2,12 +2,10 @@ import random
 
 import pytest
 
-from permbinom import ffield
 from permbinom.ffield import FieldCtx, is_primitive_cube_root
 from permbinom.hermite import (
     BinomialMap,
     PreconditionViolated,
-    _power_table,
     _s_q_terms,
     brute_pp_test,
     has_nonzero_root,
@@ -16,7 +14,7 @@ from permbinom.hermite import (
     s_q,
 )
 
-from oracles import lemma31_profile, power_sum, s_q_oracle
+from oracles import lemma31_profile, oracle_add, power_sum, s_q_oracle
 
 PRIME_POWERS_13 = (2, 3, 4, 5, 7, 8, 9, 11, 13)
 PRIME_POWERS_32 = PRIME_POWERS_13 + (16, 17, 19, 23, 25, 27, 29, 31, 32)
@@ -149,23 +147,6 @@ class TestSqTermCache:
             a, alpha = rng.randrange(1, ctx.q2), rng.randrange(ctx.q)
             assert s_q(ctx, a, alpha) == s_q_oracle(ctx, a, alpha), (ctx.q, a, alpha)
 
-    @pytest.mark.parametrize("p, e", [(2, 3), (5, 1), (3, 2)])
-    @pytest.mark.parametrize("untabled_first", [False, True])
-    def test_tabled_and_untabled_share_terms(self, fields, monkeypatch, p, e, untabled_first):
-        # The two contexts compare equal; the terms are keyed on (p, q, alpha)
-        # and read no table, so whichever warms the cache serves the other.
-        tabled = fields(p, e)
-        monkeypatch.setattr(ffield, "LOG_TABLE_BOUND", 0)
-        untabled = FieldCtx(p, e)
-        assert untabled._exp is None and tabled._exp is not None and untabled == tabled
-        _s_q_terms.cache_clear()
-        first, second = (untabled, tabled) if untabled_first else (tabled, untabled)
-        for ctx in (first, second):
-            for a in ctx.units():
-                for alpha in range(ctx.q):
-                    assert s_q(ctx, a, alpha) == s_q_oracle(tabled, a, alpha), (a, alpha)
-        assert _s_q_terms.cache_info().misses == tabled.q
-
     def test_preconditions(self, fields):
         ctx = fields(5, 1)
         _s_q_terms(5, 5, 0)  # warm the cache for this field
@@ -206,15 +187,28 @@ class TestIntervalCensus:
                     assert c.count == 3
 
 
-def first_repeat_point(ctx, a):
-    """The first x in encoding order whose image repeats an earlier one, or None."""
-    f, seen = BinomialMap(ctx, a), {0}
-    for x in ctx.units():
-        fx = f(x)
+def first_repeat_index(ctx, a):
+    """The first k whose image f(g^k) is 0 or repeats an earlier image, or
+    None; f is evaluated with the digit-by-digit add."""
+    seen = {0}
+    for k in range(ctx.q2 - 1):
+        x = ctx.pow(ctx.generator, k)
+        fx = oracle_add(ctx, ctx.mul(a, x), ctx.pow(x, 3 * ctx.q - 2))
         if fx in seen:
-            return x
+            return k
         seen.add(fx)
     return None
+
+
+class CountingLookups:
+    """A stand-in for a table that counts its lookups."""
+
+    def __init__(self, table):
+        self.table, self.count = table, 0
+
+    def __getitem__(self, k):
+        self.count += 1
+        return self.table[k]
 
 
 class TestBruteForce:
@@ -233,36 +227,18 @@ class TestBruteForce:
         ctx = fields(5, 1)
         assert sum(brute_pp_test(ctx, a) for a in ctx.units()) == 10
 
-    @pytest.mark.parametrize("p, e", [(5, 1), (3, 2)])
-    def test_stops_at_first_collision(self, fields, monkeypatch, p, e):
-        # For odd p the scan makes one ctx.add per point, so counting the
-        # adds counts the points evaluated.
-        ctx = fields(p, e)
-        first_repeat = {a: first_repeat_point(ctx, a) for a in ctx.units()}
-        calls = []
-        add = FieldCtx.add
-        monkeypatch.setattr(FieldCtx, "add", lambda self, u, v: calls.append(1) or add(self, u, v))
-        for a, x in first_repeat.items():
-            calls.clear()
-            assert brute_pp_test(ctx, a) == (x is None)
-            assert len(calls) == (ctx.q2 - 1 if x is None else x), a
-        assert any(x is not None and x < ctx.q2 // 2 for x in first_repeat.values())
-
     @pytest.mark.parametrize("p, e", [(2, 2), (2, 3), (5, 1), (3, 2)])
-    def test_field_without_tables(self, fields, monkeypatch, p, e):
-        # Above LOG_TABLE_BOUND a field has no log tables; both deciders must
-        # still agree with the tabled build of the same field.
-        tabled = fields(p, e)
-        monkeypatch.setattr(ffield, "LOG_TABLE_BOUND", 0)
-        bare = FieldCtx(p, e)
-        assert bare._exp is None and bare.modulus == tabled.modulus
-        _power_table.cache_clear()
-        try:
-            for a in bare.units():
-                assert brute_pp_test(bare, a) == brute_pp_test(tabled, a), a
-                assert hermite_pp_test(bare, a) == hermite_pp_test(tabled, a), a
-        finally:
-            _power_table.cache_clear()
+    def test_stops_at_first_collision(self, p, e):
+        # The scan makes one Zech lookup per point x = g^k, so counting the
+        # lookups counts the points evaluated.
+        ctx = FieldCtx(p, e)
+        first_repeat = {a: first_repeat_index(ctx, a) for a in ctx.units()}
+        ctx._zech = zech = CountingLookups(ctx._zech)
+        for a, k in first_repeat.items():
+            zech.count = 0
+            assert brute_pp_test(ctx, a) == (k is None)
+            assert zech.count == (ctx.q2 - 1 if k is None else k + 1), a
+        assert any(k is not None and k < ctx.q2 // 2 for k in first_repeat.values())
 
 
 class TestHermiteEquivalence:
