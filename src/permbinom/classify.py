@@ -41,7 +41,8 @@ class UnsupportedQ(ValueError):
 
 
 class FixtureMismatch(AssertionError):
-    """Raised when a pipeline step deviates from its recorded value."""
+    """Raised when the elimination argument has a gap: the resultant is not
+    completely factored, or a root of a gcd chain survives g_11 and g_14."""
 
 
 # ---------------------------------------------------------------------------
@@ -110,18 +111,6 @@ def sporadic_census(q: int) -> Tuple[int, List[int]]:
 # Elimination pipeline
 # ---------------------------------------------------------------------------
 
-# Recorded values, cross-checked against a Sylvester-determinant oracle and
-# an exhaustive root scan mod p.  The source's narrative quotes residues of
-# the reciprocal x^deg g(1/x) (root -10 = (-3)^(-1) mod 29), and
-# test_criterion_3_printed_narrative_values checks them there: gcd x+10 mod
-# 29 and the g_11 zero at -10 match; the published g_11(-1) = 12 mod 23 is
-# the recomputed 11 with the sign of g_11 flipped; the source of the
-# published g_14(-10) = 2 mod 29 (16 recomputed) is open.
-_EXPECTED_FACTORIZATION = {2: 5, 3: 35, 17: 2, 23: 1, 29: 1, 103: 1, 16069: 1}
-_EXPECTED_SURVIVORS = (2, 17, 23, 29)
-_EXPECTED_GCDS = {2: (0, 1), 17: (1,), 23: (1, 1), 29: (3, 1)}
-_EXPECTED_EVALS = {(23, 11, -1): 11, (29, 11, -3): 0, (29, 14, -3): 15}
-
 
 @dataclass(frozen=True)
 class ChainResult:
@@ -145,35 +134,34 @@ class EliminationReport:
     candidate_qs: Tuple[int, ...]
 
 
-def elimination_pipeline(check_fixtures: bool = True) -> EliminationReport:
+def elimination_pipeline() -> EliminationReport:
     """Replay the elimination argument that leaves only small q.
 
     Steps: resultant of g_2 and g_5 with complete factorization, which
-    holds for q >= 14 (``g_poly(5).q_bound``); discard p = 3 and every
-    p = 1 mod 3 (q = p^e = 2 mod 3 forces p = 2 mod 3 with e odd, and
-    2 = 2 mod 3); per surviving prime, the gcd chain gcd(g_2, g_5, g_8) mod p
-    and evaluations of g_11 / g_14 at its roots.  The chains use g_14, which
-    holds only for q >= 32 (``g_poly(14).q_bound``), so their conclusions
-    are about q >= 32; the direct sweep covers every smaller q.
+    holds for q >= 14 (``g_poly(5).q_bound``); keep the primes p = 2 mod 3
+    (q = p^e = 2 mod 3 forces p = 2 mod 3 with e odd, which drops 3 and
+    every p = 1 mod 3); per surviving prime, the gcd chain
+    gcd(g_2, g_5, g_8) mod p and evaluations of g_11 / g_14 at its roots.
+    The chains use g_14, which holds only for q >= 32
+    (``g_poly(14).q_bound``), so their conclusions are about q >= 32; the
+    direct sweep covers every smaller q.
+
+    Every conclusion comes from these computed values.  ``FixtureMismatch``
+    reports the two gaps that would leave the argument open: an unfactored
+    cofactor of the resultant, which could hide a prime 2 mod 3, and a root
+    of a chain that neither g_11 nor g_14 kills.
     """
     g = {alpha: list(g_poly(alpha).g) for alpha in (2, 5, 8, 11, 14)}
     res = resultant_z(g[2], g[5])
     fact = factor_trial(res)
-    if check_fixtures and (fact.factors != _EXPECTED_FACTORIZATION or not fact.complete):
-        raise FixtureMismatch(f"unexpected resultant factorization: {fact}")
-
-    survivors = tuple(
-        p for p in sorted(fact.factors) if p != 3 and p % 3 == 2
-    )
-    if check_fixtures and survivors != _EXPECTED_SURVIVORS:
-        raise FixtureMismatch(f"unexpected surviving primes: {survivors}")
+    if not fact.complete:
+        raise FixtureMismatch(f"Res(g_2, g_5) leaves the cofactor {fact.cofactor} "
+                              "unfactored; it could hide a prime 2 mod 3")
+    survivors = tuple(p for p in sorted(fact.factors) if p % 3 == 2)
 
     chains: Dict[int, ChainResult] = {}
-    candidates: List[int] = []
     for p in survivors:
         gcd = tuple(gcd_mod_p([g[2], g[5], g[8]], p))
-        if check_fixtures and gcd != _EXPECTED_GCDS[p]:
-            raise FixtureMismatch(f"unexpected gcd chain mod {p}: {gcd}")
         roots = roots_mod_p(gcd, p)
         evaluations: Dict[Tuple[int, int], int] = {}
         if roots == (0,):
@@ -186,45 +174,31 @@ def elimination_pipeline(check_fixtures: bool = True) -> EliminationReport:
             conclusion = f"no shared root mod {p}; only q = {p} remains"
             qs = (p,)
         else:
-            alive = list(roots)
+            # Signed residues, which also key ``evaluations``.
+            alive = [r - p if r > p // 2 else r for r in roots]
             for alpha in (11, 14):
                 still = []
                 for r in alive:
                     val = eval_mod_p(g[alpha], r, p)
-                    evaluations[(alpha, r - p if r > p // 2 else r)] = val
+                    evaluations[(alpha, r)] = val
                     if val == 0:
                         still.append(r)
                 alive = still
                 if not alive:
                     break
             if alive:
-                raise FixtureMismatch(
-                    f"root {alive} of the gcd chain mod {p} survives g_11 and g_14"
-                )
+                raise FixtureMismatch(f"root {', '.join(map(str, alive))} of the gcd "
+                                      f"chain mod {p} survives g_11 and g_14")
             conclusion = f"every shared root mod {p} is killed; only q = {p} remains"
             qs = (p,)
-        if check_fixtures:
-            for (pp, alpha, r), expected in _EXPECTED_EVALS.items():
-                if pp == p and evaluations.get((alpha, r)) != expected:
-                    raise FixtureMismatch(
-                        f"g_{alpha}({r}) mod {p} = {evaluations.get((alpha, r))}, "
-                        f"expected {expected}"
-                    )
-        chains[p] = ChainResult(
-            p=p,
-            gcd=gcd,
-            roots=roots,
-            evaluations=evaluations,
-            conclusion=conclusion,
-            candidate_qs=qs,
-        )
-        candidates.extend(qs)
+        chains[p] = ChainResult(p=p, gcd=gcd, roots=roots, evaluations=evaluations,
+                                conclusion=conclusion, candidate_qs=qs)
     return EliminationReport(
         resultant=res,
         factorization=fact,
         surviving_primes=survivors,
         chains=chains,
-        candidate_qs=tuple(sorted(candidates)),
+        candidate_qs=tuple(sorted(q for c in chains.values() for q in c.candidate_qs)),
     )
 
 

@@ -306,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("sporadic", cmd_sporadic, help="census of a values for a target q")
     sp.add_argument("--q", required=True, type=int)
 
-    add("pipeline", cmd_pipeline, help="full elimination pipeline with fixture checks")
+    add("pipeline", cmd_pipeline, help="full elimination pipeline")
     return parser
 
 

@@ -116,19 +116,17 @@ def fp_gcd(f: FpPoly, g: FpPoly, p: int) -> FpPoly:
     return a
 
 
-def _xpow_pk(k: int, m: FpPoly, p: int) -> FpPoly:
-    """x^(p^k) mod m, by k successive p-th powerings."""
-    r: FpPoly = [0, 1]
-    for _ in range(k):
-        out: FpPoly = [1]
-        base, e = r, p
-        while e:
-            if e & 1:
-                out = fp_mulmod(out, base, m, p)
-            base = fp_mulmod(base, base, m, p)
-            e >>= 1
-        r = out
-    return r
+def fp_powmod(f: FpPoly, k: int, m: FpPoly, p: int) -> FpPoly:
+    """f^k mod m over F_p (k >= 0, deg m >= 1) by square-and-multiply: the
+    Rabin test's x^(p^k) and the generator search, which runs before the
+    field's tables exist."""
+    out: FpPoly = [1]
+    while k:
+        if k & 1:
+            out = fp_mulmod(out, f, m, p)
+        f = fp_mulmod(f, f, m, p)
+        k >>= 1
+    return out
 
 
 def _sub_x(f: FpPoly, p: int) -> FpPoly:
@@ -143,10 +141,10 @@ def is_irreducible(m: FpPoly, p: int) -> bool:
     n = len(m) - 1
     if n < 1:
         return False
-    if _sub_x(_xpow_pk(n, m, p), p):
+    if _sub_x(fp_powmod([0, 1], p**n, m, p), p):
         return False
     for r in prime_factors(n):
-        if len(fp_gcd(_sub_x(_xpow_pk(n // r, m, p), p), m, p)) != 1:
+        if len(fp_gcd(_sub_x(fp_powmod([0, 1], p**(n // r), m, p), p), m, p)) != 1:
             return False
     return True
 
@@ -205,25 +203,15 @@ class FieldCtx:
 
     # -- construction helpers -------------------------------------------------
 
-    def _mul_poly(self, a: int, b: int) -> int:
-        """Multiplication via polynomial arithmetic: the generator search,
-        which runs before the tables exist, and the tests' oracle for them."""
-        fa, fb = self.to_coeffs(a), self.to_coeffs(b)
-        return self.from_coeffs(fp_mulmod(list(fa), list(fb), list(self.modulus), self.p))
-
     def _build_tables(self) -> None:
-        def pow_poly(a: int, k: int) -> int:
-            r = 1
-            while k:
-                if k & 1:
-                    r = self._mul_poly(r, a)
-                a, k = self._mul_poly(a, a), k >> 1
-            return r
-
-        order = self.q2 - 1
+        """The smallest-encoding generator g, then exp, log and Zech.  g is
+        found on coefficient lists: it has order q^2 - 1 iff g^((q^2-1)/r)
+        is not 1 for each prime r dividing q^2 - 1."""
+        order, m = self.q2 - 1, list(self.modulus)
         cofactors = [order // r for r in prime_factors(order)]
-        self.generator = next(g for g in range(2, self.q2)
-                              if all(pow_poly(g, k) != 1 for k in cofactors))
+        self.generator = next(
+            g for g in range(2, self.q2)
+            if all(fp_powmod(list(self.to_coeffs(g)), k, m, self.p) != [1] for k in cofactors))
         self._exp = array("i", self._generator_powers())
         log = self._log = array("i", [-1]) * self.q2
         for i, x in enumerate(self._exp):
@@ -338,9 +326,17 @@ def make_field(p: int, e: int) -> FieldCtx:
     return FieldCtx(p, e)
 
 
+# The longest p or e that parse_field_descriptor converts.  Any longer number
+# is far above DEFAULT_SIZE_BOUND, and is neither converted nor echoed.
+_DESCRIPTOR_DIGITS = 40
+
+
 def parse_field_descriptor(s: str) -> tuple:
     """Parse a "p^e" string into (p, e); bare "p" means e = 1."""
     ps, caret, es = s.partition("^")
+    if max(len(ps), len(es)) > _DESCRIPTOR_DIGITS:
+        raise SizeExceeded(f"field {s[:24]!r}... has a p or e of more than {_DESCRIPTOR_DIGITS} "
+                           f"digits, far above the size bound {DEFAULT_SIZE_BOUND}")
     try:
         return int(ps), (int(es) if caret else 1)
     except ValueError:

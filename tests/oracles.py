@@ -1,5 +1,6 @@
 """Slow reference computations that only the tests use: addition and
-negation digit by digit, the literal power sums of the binomial map, the
+negation digit by digit, multiplication of coefficient polynomials modulo
+the field's modulus, the literal power sums of the binomial map, the
 Lemma 3.1 power-sum profile, the partition of the units by a^((q+1)/3),
 the copy of F_q inside F_{q^2}, S_q(alpha, a) with its terms rebuilt on
 every call, and exact integer polynomial evaluation.  Each is a direct
@@ -9,7 +10,7 @@ independently."""
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
-from permbinom.ffield import FieldCtx, is_primitive_cube_root, lucas_binom
+from permbinom.ffield import FieldCtx, fp_mulmod, is_primitive_cube_root, lucas_binom
 from permbinom.hermite import BinomialMap, PreconditionViolated, interval_census
 
 
@@ -34,6 +35,13 @@ def oracle_neg(ctx: FieldCtx, a: int) -> int:
         a //= p
         mult *= p
     return v
+
+
+def oracle_mul(ctx: FieldCtx, a: int, b: int) -> int:
+    """a * b by multiplying coefficient polynomials mod the modulus (the
+    oracle of the exp/log tables)."""
+    fa, fb = list(ctx.to_coeffs(a)), list(ctx.to_coeffs(b))
+    return ctx.from_coeffs(fp_mulmod(fa, fb, list(ctx.modulus), ctx.p))
 
 
 def poly_eval(f: Sequence[int], x: int) -> int:

@@ -9,7 +9,10 @@ exactly there, and the published g_11(-1) = 12 mod 23 is the recomputed
 value with the opposite sign.  The published g_14(-10) = 2 mod 29 is not
 reproduced; the recomputed 16 is pinned, and the source of 2 is open.  Every
 published residue agrees with the recomputed one on zero versus nonzero, so
-no conclusion of the pipeline changes.  See the README.
+no conclusion of the pipeline changes.  The test also asserts a stated
+hypothesis that fits all three published values: each is the scaled bracket
+(-1)^(alpha+1) * 3^d_alpha * B_alpha(x) mod p, taken before the division by
+v(v^2+v+1).  See the README.
 """
 
 import random
@@ -149,6 +152,19 @@ def test_criterion_3_printed_narrative_values():
         # versus nonzero, the only property the pipeline uses to kill a root
         for key, printed in PRINTED_RESIDUES.items():
             assert (printed == 0) == (recomputed[key] == 0), key
+
+        # A stated hypothesis, not a derivation: each published residue is
+        # (-1)^(alpha+1) * 3^d_alpha * B_alpha(x) mod p, the scaled bracket
+        # before its division by v(v^2+v+1), which is nonzero at these points.
+        # It fits all three, the published 2 included.
+        def signed_scaled_bracket(p, alpha, x):
+            rec = g_poly(alpha)
+            assert x * (x * x + x + 1) % p
+            scaled = [int(c * 3**rec.d_alpha) for c in rec.bracket]
+            return (-1) ** (alpha + 1) * eval_mod_p(scaled, x, p) % p
+
+        # 12 at (23, 11, -1), 2 at (29, 14, -10) and 0 at (29, 11, -10)
+        assert {key: signed_scaled_bracket(*key) for key in PRINTED_RESIDUES} == PRINTED_RESIDUES
 
 
 def test_criterion_4_theorem_equivalence_sweep():

@@ -4,6 +4,7 @@ from permbinom import classify
 from permbinom.classify import (
     CENSUS_TARGETS,
     SPORADIC_TABLE,
+    FixtureMismatch,
     UnsupportedQ,
     elimination_pipeline,
     prime_powers,
@@ -13,6 +14,7 @@ from permbinom.classify import (
 )
 from permbinom.ffield import SizeExceeded
 from permbinom.hermite import brute_pp_test
+from permbinom.symalg import FactorResult
 
 from oracles import coset_classes
 
@@ -97,10 +99,6 @@ class TestEliminationPipeline:
         assert report.candidate_qs == (17, 23, 29)
         assert "no q >= 32" in report.chains[2].conclusion
 
-    def test_unchecked_run_matches(self, report):
-        free = elimination_pipeline(check_fixtures=False)
-        assert free == report
-
     def test_root_zero_conclusion_needs_root_zero(self, report, monkeypatch):
         # The p = 2 conclusion rests on the gcd x, whose only root is 0.  A
         # gcd x + 1 mod 2 has the root 1, which must go through g_11 and g_14.
@@ -109,11 +107,32 @@ class TestEliminationPipeline:
         monkeypatch.setattr(
             classify, "gcd_mod_p", lambda polys, p: [1, 1] if p == 2 else real(polys, p)
         )
-        chain = elimination_pipeline(check_fixtures=False).chains[2]
+        chain = elimination_pipeline().chains[2]
         assert chain.gcd == (1, 1) and chain.roots == (1,)
         assert "shared root would be 0" not in chain.conclusion
         assert chain.evaluations == {(11, 1): 1}
         assert chain.candidate_qs == (2,)
+
+    def test_incomplete_factorization_is_a_gap(self, monkeypatch):
+        # An unfactored cofactor could hide a prime 2 mod 3, so the pipeline
+        # stops rather than conclude from the primes it has.
+        real = classify.factor_trial
+
+        def without_16069(n):
+            found = {p: m for p, m in real(n).factors.items() if p != 16069}
+            return FactorResult(n=n, factors=found, complete=False, cofactor=16069)
+
+        monkeypatch.setattr(classify, "factor_trial", without_16069)
+        with pytest.raises(FixtureMismatch, match="cofactor 16069 unfactored"):
+            elimination_pipeline()
+
+    def test_surviving_root_is_a_gap(self, monkeypatch):
+        # With every g_11 and g_14 value zero, the root -1 of gcd x + 1 mod 23
+        # is never killed (p = 2 has only the root 0, p = 17 none).
+        monkeypatch.setattr(classify, "eval_mod_p", lambda f, x, p: 0)
+        with pytest.raises(FixtureMismatch,
+                           match="root -1 of the gcd chain mod 23 survives g_11 and g_14"):
+            elimination_pipeline()
 
 
 class TestSweep:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import permbinom
+from permbinom import classify, symalg
 from permbinom.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, run
 
 
@@ -117,6 +118,20 @@ class TestOtherSubcommands:
         assert doc["results"]["surviving_primes"] == [2, 17, 23, 29]
         assert doc["results"]["candidate_qs"] == [17, 23, 29]
 
+    @pytest.mark.parametrize("name, stand_in, says", [
+        ("factor_trial",
+         lambda n: symalg.FactorResult(n=n, factors={2: 5}, complete=False, cofactor=16069),
+         "cofactor 16069"),
+        ("eval_mod_p", lambda f, x, p: 0, "root -1 of the gcd chain mod 23"),
+    ], ids=["incomplete-factorization", "surviving-root"])
+    def test_pipeline_gap_exits_1(self, capsys, monkeypatch, name, stand_in, says):
+        monkeypatch.setattr(classify, name, stand_in)
+        for argv in (["pipeline"], ["pipeline", "--json"]):
+            code, out, err = invoke(capsys, *argv)
+            assert code == EXIT_MISMATCH and out == ""
+            assert err.startswith("mismatch: ") and says in err.splitlines()[0]
+            assert "Traceback" not in err
+
 
 class TestBadInputExitCodes:
     """Bad argument values end in exit 2 and one "error: ..." line."""
@@ -126,6 +141,7 @@ class TestBadInputExitCodes:
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and says in err
         assert "Traceback" not in err
+        return err
 
     def test_check_non_prime_p(self, capsys):
         self.assert_usage_error(capsys, "check", "--q", "4", "--a", "5", says="not prime")
@@ -145,6 +161,15 @@ class TestBadInputExitCodes:
         # before p^(2e) is computed, so these return at once.
         self.assert_usage_error(capsys, "check", "--q", q, "--a", "1",
                                 says=f"p = {p}, e = {e} exceeds the size bound")
+
+    @pytest.mark.parametrize("q", ["1" * 4999 + "3", "1" * 3999 + "3", "3^" + "1" * 4000],
+                             ids=["p-5000-digits", "p-4000-digits", "e-4000-digits"])
+    def test_check_field_descriptor_too_long(self, capsys, q):
+        # Past 4,300 digits int() itself refuses the string; the error line
+        # names the bound and echoes only a prefix of the descriptor.
+        err = self.assert_usage_error(capsys, "check", "--q", q, "--a", "1",
+                                      says="size bound")
+        assert len(err) < 200
 
     def test_verify_above_hard_cap(self, capsys):
         self.assert_usage_error(capsys, "verify", "--max-q", "200", says="hard cap")

@@ -8,6 +8,8 @@ from permbinom.ffield import (
     NonPrimeP,
     SizeExceeded,
     ZeroInverse,
+    fp_mulmod,
+    fp_powmod,
     is_irreducible,
     is_primitive_cube_root,
     lucas_binom,
@@ -15,7 +17,7 @@ from permbinom.ffield import (
     parse_field_descriptor,
 )
 
-from oracles import oracle_add, oracle_neg, subfield_q_members
+from oracles import oracle_add, oracle_mul, oracle_neg, subfield_q_members
 
 
 def first_irreducible_by_enumeration(p, n):
@@ -80,6 +82,22 @@ class TestConstruction:
         assert parse_field_descriptor("2^3") == (2, 3)
         assert parse_field_descriptor("29") == (29, 1)
         assert make_field(2, 3).descriptor() == "2^3"
+
+
+class TestFpPowmod:
+    """Square-and-multiply against k successive multiplications from 1."""
+
+    @pytest.mark.parametrize("p, m", [(2, [1, 1, 0, 1]), (3, [1, 0, 1]), (5, [2, 0, 1]),
+                                      (7, [3, 1, 0, 0, 1]), (2, [0, 1, 1])])
+    def test_matches_repeated_mulmod(self, p, m):
+        rng = random.Random(p * 100 + len(m))
+        for _ in range(5):
+            # unreduced, possibly with trailing zeros
+            f = [rng.randrange(p) for _ in range(len(m) + 2)]
+            expected = [1]
+            for k in range(40):  # k = 0 gives [1], k = 1 gives f mod m
+                assert fp_powmod(f, k, m, p) == expected, (f, k)
+                expected = fp_mulmod(expected, f, m, p)
 
 
 class TestArithmetic:
@@ -247,7 +265,7 @@ def order_by_powers(ctx, a):
     """Oracle: the multiplicative order of a, by polynomial multiplication."""
     k, x = 1, a
     while x != 1:
-        x, k = ctx._mul_poly(x, a), k + 1
+        x, k = oracle_mul(ctx, x, a), k + 1
     return k
 
 
@@ -255,7 +273,7 @@ def steps_by(ctx, powers, g):
     """Oracle: powers[0] is 1 and each power is the last times g, with
     g^(q^2 - 1) wrapping round to powers[0]."""
     return powers[0] == 1 and all(
-        ctx._mul_poly(a, g) == b for a, b in zip(powers, powers[1:] + powers[:1]))
+        oracle_mul(ctx, a, g) == b for a, b in zip(powers, powers[1:] + powers[:1]))
 
 
 class TestTables:
