@@ -16,20 +16,32 @@ import time
 from typing import List, Optional
 
 from permbinom import classify, hermite, symalg
-from permbinom.ffield import is_prime, make_field, parse_field_descriptor
+from permbinom.ffield import DEFAULT_SIZE_BOUND, is_prime, make_field, parse_field_descriptor
 from permbinom.symalg import poly_json, poly_str
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 
+_A_DIGITS = 40
+
 
 class UsageError(Exception):
     """A bad argument value: ``run`` prints it as one line and exits 2."""
 
 
-def _field_and_element(spec: str, a: int):
-    """The field F_{q^2} named by a "p^e" argument, and a checked nonzero a."""
+def _field_and_element(spec: str, a_text: str):
+    """The field F_{q^2} named by a "p^e" argument, and a checked nonzero a.
+
+    An ``--a`` of more than _A_DIGITS digits is far above the size bound;
+    like a long field descriptor it is neither converted nor echoed whole."""
+    if len(a_text) > _A_DIGITS:
+        raise UsageError(f"a = {a_text[:24]}... has more than {_A_DIGITS} digits, "
+                         f"far above the size bound {DEFAULT_SIZE_BOUND}")
+    try:
+        a = int(a_text)
+    except ValueError:
+        raise UsageError(f"a = {a_text!r} is not an integer") from None
     try:
         ctx = make_field(*parse_field_descriptor(spec))
     except ValueError as exc:  # NonPrimeP, SizeExceeded, e < 1 or no "p^e"
@@ -285,12 +297,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("check", cmd_check, help="single (q, a) verdict")
     sp.add_argument("--q", required=True, help='base field as "p^e", e.g. 2^3')
-    sp.add_argument("--a", required=True, type=int, help="element encoding (base-p integer)")
+    sp.add_argument("--a", required=True, help="element encoding (base-p integer)")
 
     sp = add("hermite-profile", cmd_hermite_profile,
              help="coefficient sums S(alpha) for a single (q, a)")
     sp.add_argument("--q", required=True)
-    sp.add_argument("--a", required=True, type=int)
+    sp.add_argument("--a", required=True)
 
     sp = add("gpoly", cmd_gpoly, help="print the elimination polynomial g_alpha")
     sp.add_argument("--alpha", required=True, type=int)

@@ -186,27 +186,66 @@ def g_poly(alpha: int) -> GPolyRecord:
 # ---------------------------------------------------------------------------
 
 
-def _pseudo_rem(f: List[int], g: List[int]) -> List[int]:
-    """Pseudo-remainder lc(g)^(deg f - deg g + 1) * f mod g over Z."""
-    rem = list(f)
-    lead = g[-1]
-    steps = len(f) - len(g) + 1
-    for _ in range(steps):
-        if len(rem) < len(g):
-            rem = [c * lead for c in rem]
-            continue
-        c = rem[-1]
-        rem = [x * lead for x in rem]
-        k = len(rem) - len(g)
-        for i, gi in enumerate(g):
-            rem[k + i] -= c * gi
-        rem.pop()
-        fp_trim(rem)
-    return rem
+def _prem_div(a: List[int], b: List[int], d: int) -> List[int]:
+    """The pseudo-remainder lc(b)^(delta+1) a mod b, divided by d, where
+    delta = deg a - deg b.
+
+    The pseudo-quotient Q comes from the top delta+1 coefficients of a, so
+    coefficient j < deg b of the result is x_j = N_j / d with N_j =
+    lc(b)^(delta+1) a_j - sum_k Q_k b_(j-k), at most delta+2 products.  In
+    the subresultant sequence d = g h^delta divides every N_j (Brown &
+    Traub), so x_j is taken without a division (Jebelean): with d = 2^t u,
+    u odd, and w = 1/u mod 2^(K+t) (by Newton's iteration, negated when
+    d < 0), N_j w = 2^t x_j mod 2^(K+t), and its low K+t bits shifted right
+    by t are x_j mod 2^K.  The bound: |N_j| < 2^bits, where bits is the
+    largest sum of a product's factor bit lengths plus ceil(log2(delta+2)),
+    and |d| >= 2^(bit_length(d)-1), so K = bits - bit_length(d) + 2 gives
+    |x_j| < 2^(K-1), and x_j is the residue in [-2^(K-1), 2^(K-1)).  w is
+    folded into lc(b)^(delta+1) and the Q_k, so each x_j costs delta+2
+    multiplies, a mask and a shift.
+    """
+    db, delta = len(b) - 1, len(a) - len(b)
+    lead = b[-1]
+    top = a[db:]
+    quot = [0] * (delta + 1)
+    for k in range(delta, -1, -1):
+        c = top[k]
+        quot[k] = c * lead**k
+        for i in range(k):
+            top[i] = top[i] * lead - (c * b[db + i - k] if db + i >= k else 0)
+    scale = lead ** (delta + 1)
+    bits = max(scale.bit_length() + max(x.bit_length() for x in a[:db]),
+               max(q.bit_length() for q in quot) + max(x.bit_length() for x in b[:db]))
+    bits += (delta + 1).bit_length()
+    t = (d & -d).bit_length() - 1
+    k_bits = max(bits - abs(d).bit_length() + 2, 1)
+    mask = (1 << (k_bits + t)) - 1
+    u, w, n = abs(d) >> t, 1, 1
+    while n < k_bits + t:  # each step doubles the correct low bits of w
+        n = min(2 * n, k_bits + t)
+        w = w * (2 - u * w) & (1 << n) - 1
+    if d < 0:
+        w = -w
+    scale = scale * w & mask
+    quot = [q * w & mask for q in quot]
+    half, full = 1 << (k_bits - 1), 1 << k_bits
+    out = []
+    for j in range(db):
+        s = scale * a[j]
+        for k in range(min(j, delta) + 1):
+            s -= quot[k] * b[j - k]
+        x = (s & mask) >> t
+        out.append(x - full if x >= half else x)
+    return fp_trim(out)
 
 
 def resultant_z(f: Sequence[int], g: Sequence[int]) -> int:
-    """Resultant over Z via the fraction-free subresultant remainder sequence."""
+    """Resultant over Z via the fraction-free subresultant remainder sequence.
+
+    Each remainder is prem(a, b) / (g h^delta), an exact quotient (Brown &
+    Traub, JACM 1971), so ``_prem_div`` takes it 2-adically instead of by
+    ``//``; the sequence, and the resultant, are the same integers.
+    """
     a = fp_trim([int(c) for c in f])
     b = fp_trim([int(c) for c in g])
     if not a or not b:
@@ -226,12 +265,10 @@ def resultant_z(f: Sequence[int], g: Sequence[int]) -> int:
         delta = da - db
         if da % 2 and db % 2:
             sign = -sign
-        rem = _pseudo_rem(a, b)
+        rem = _prem_div(a, b, g_ * h**delta)
         if not rem:
             return 0
-        a = b
-        divisor = g_ * h**delta
-        b = [c // divisor for c in rem]
+        a, b = b, rem
         g_ = a[-1]
         if delta > 0:
             h = g_**delta // h ** (delta - 1)

@@ -3,15 +3,18 @@ negation digit by digit, multiplication of coefficient polynomials modulo
 the field's modulus, the literal power sums of the binomial map, the
 Lemma 3.1 power-sum profile, the partition of the units by a^((q+1)/3),
 the copy of F_q inside F_{q^2}, S_q(alpha, a) with its terms rebuilt on
-every call, and exact integer polynomial evaluation.  Each is a direct
+every call, exact integer polynomial evaluation, and the resultant by the
+fraction-free subresultant sequence with a pseudo-remainder and a
+division per coefficient.  Each is a direct
 computation, kept apart from the library so that it checks the library
 independently."""
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
-from permbinom.ffield import FieldCtx, fp_mulmod, is_primitive_cube_root, lucas_binom
+from permbinom.ffield import FieldCtx, fp_mulmod, fp_trim, is_primitive_cube_root, lucas_binom
 from permbinom.hermite import BinomialMap, PreconditionViolated, interval_census
+from permbinom.symalg import poly_degree
 
 
 def oracle_add(ctx: FieldCtx, a: int, b: int) -> int:
@@ -50,6 +53,62 @@ def poly_eval(f: Sequence[int], x: int) -> int:
     for c in reversed(f):
         r = r * x + c
     return r
+
+
+def _pseudo_rem(f: List[int], g: List[int]) -> List[int]:
+    """Pseudo-remainder lc(g)^(deg f - deg g + 1) * f mod g over Z."""
+    rem = list(f)
+    lead = g[-1]
+    steps = len(f) - len(g) + 1
+    for _ in range(steps):
+        if len(rem) < len(g):
+            rem = [c * lead for c in rem]
+            continue
+        c = rem[-1]
+        rem = [x * lead for x in rem]
+        k = len(rem) - len(g)
+        for i, gi in enumerate(g):
+            rem[k + i] -= c * gi
+        rem.pop()
+        fp_trim(rem)
+    return rem
+
+
+def oracle_resultant(f: Sequence[int], g: Sequence[int]) -> int:
+    """Resultant over Z via the fraction-free subresultant remainder sequence
+    with the quotients taken by ``//`` (``symalg.resultant_z``'s oracle)."""
+    a = fp_trim([int(c) for c in f])
+    b = fp_trim([int(c) for c in g])
+    if not a or not b:
+        raise ValueError("resultant of the zero polynomial")
+    if len(a) == 1:
+        return a[0] ** poly_degree(b)
+    if len(b) == 1:
+        return b[0] ** poly_degree(a)
+    sign = 1
+    if len(a) < len(b):
+        if (poly_degree(a) * poly_degree(b)) % 2:
+            sign = -sign
+        a, b = b, a
+    g_, h = 1, 1
+    while True:
+        da, db = poly_degree(a), poly_degree(b)
+        delta = da - db
+        if da % 2 and db % 2:
+            sign = -sign
+        rem = _pseudo_rem(a, b)
+        if not rem:
+            return 0
+        a = b
+        divisor = g_ * h**delta
+        b = [c // divisor for c in rem]
+        g_ = a[-1]
+        if delta > 0:
+            h = g_**delta // h ** (delta - 1)
+        if poly_degree(b) == 0:
+            break
+    da = poly_degree(a)
+    return sign * b[0] ** da // h ** (da - 1)
 
 
 def s_q_oracle(ctx: FieldCtx, a: int, alpha: int) -> int:

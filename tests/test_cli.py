@@ -171,6 +171,18 @@ class TestBadInputExitCodes:
                                       says="size bound")
         assert len(err) < 200
 
+    @pytest.mark.parametrize("cmd", ["check", "hermite-profile"])
+    @pytest.mark.parametrize("digits", [4000, 5000])
+    def test_element_too_long(self, capsys, cmd, digits):
+        # 4,000 and 5,000 digits lie either side of int()'s 4,300-digit limit.
+        err = self.assert_usage_error(capsys, cmd, "--q", "2", "--a", "7" * digits,
+                                      says="more than 40 digits")
+        assert len(err) < 200
+
+    @pytest.mark.parametrize("cmd", ["check", "hermite-profile"])
+    def test_element_not_an_integer(self, capsys, cmd):
+        self.assert_usage_error(capsys, cmd, "--q", "5", "--a", "3x", says="a = '3x' is not an integer")
+
     def test_verify_above_hard_cap(self, capsys):
         self.assert_usage_error(capsys, "verify", "--max-q", "200", says="hard cap")
 

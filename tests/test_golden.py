@@ -1,4 +1,5 @@
-"""Byte-for-byte golden stdout of the field-dependent CLI commands.
+"""Byte-for-byte golden stdout of the field-dependent CLI commands and of
+two factored resultants.
 
 The files under ``tests/golden/`` were captured before the exp/log tables
 were built by shift-and-reduce and before the gcd chains took their roots
@@ -31,6 +32,11 @@ CHAINS = {"pipeline": ["pipeline"],
           **{f"gcdchain_p{p}": ["gcdchain", "--p", str(p)] for p in (17, 23, 29)}}
 CASES.update({f"{stem}.txt": argv for stem, argv in CHAINS.items()})
 CASES.update({f"{stem}.json": argv + ["--json"] for stem, argv in CHAINS.items()})
+# Res(g_2, g_5), fully factored, and Res(g_26, g_29), 12,311 bits with an
+# unfactored cofactor: captured before the PRS quotients became 2-adic.
+CASES.update({f"resultant_{left}_{right}_factor.json":
+              ["resultant", "--left", str(left), "--right", str(right), "--factor", "--json"]
+              for left, right in ((2, 5), (26, 29))})
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

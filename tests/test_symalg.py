@@ -1,10 +1,14 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permbinom import symalg
 from permbinom.ffield import fp_trim, make_field
 from permbinom.hermite import s_q
 from permbinom.symalg import (
@@ -26,10 +30,13 @@ from permbinom.symalg import (
 )
 
 from conftest import sylvester_resultant
-from oracles import poly_eval
+from oracles import oracle_resultant, poly_eval
 from printed_polynomials import G2, G5, G8, G11, G14, PRINTED_D
 
 FIXTURES = {2: G2, 5: G5, 8: G8, 11: G11, 14: G14}
+RESULTANT_SHA256 = json.loads(
+    (Path(__file__).parents[1] / "bench" / "golden.json").read_text(encoding="utf-8")
+)["elimination"]["resultant_sha256"]
 
 
 class TestGenBinom:
@@ -197,6 +204,63 @@ class TestResultant:
         f, g = [1, 2, 1, 3], [4, 1, 5]
         dfg = resultant_z(f, g)
         assert resultant_z(g, f) == (-1) ** (3 * 2) * dfg
+
+    @pytest.mark.parametrize("pair", sorted(RESULTANT_SHA256, key=lambda k: int(k.split(",")[0])))
+    def test_g_alpha_pairs_match_oracle_and_digest(self, pair):
+        # (g_alpha, g_alpha+3) for alpha = 2, 5, ..., 26: Res(g_26, g_29) has
+        # 12,311 bits.  The digests are the benchmark's recorded answers.
+        left, right = (int(x) for x in pair.split(","))
+        f, g = list(g_poly(left).g), list(g_poly(right).g)
+        r = resultant_z(f, g)
+        assert r == oracle_resultant(f, g)
+        assert hashlib.sha256(str(r).encode()).hexdigest() == RESULTANT_SHA256[pair]
+
+    @staticmethod
+    def remainder_chain(rng, degrees, bits):
+        """f, g whose remainder sequence over Q has the given degrees, built
+        from the last remainder up as p_i = Q_i p_(i+1) + p_(i+2), with
+        coefficients of about ``bits`` bits.  Leading coefficients are odd
+        or even, positive or negative."""
+        def rand(deg):
+            lead = rng.choice([-1, 1]) * rng.choice([1, 2, 6, 1 << 40]) * (rng.randrange(1 << bits) | 1)
+            return [rng.randrange(-(1 << bits), 1 << bits) for _ in range(deg)] + [lead]
+
+        later, last = rand(degrees[-2]), rand(degrees[-1])
+        for deg in degrees[-3::-1]:
+            prod = poly_mul(rand(deg - len(later) + 1), later)
+            later, last = [x + (last[i] if i < len(last) else 0) for i, x in enumerate(prod)], later
+        return later, last
+
+    def test_seeded_big_pairs_match_oracles(self, monkeypatch):
+        # A spy on _prem_div records that the divisor d = g h^delta was even
+        # (t > 0) and negative, and that a degree gap delta >= 2 came after
+        # the first step; every sixth pair has a common factor.
+        seen = []
+        kernel = symalg._prem_div
+
+        def spy(a, b, d):
+            seen.append((d, len(a) - len(b)))
+            return kernel(a, b, d)
+
+        monkeypatch.setattr(symalg, "_prem_div", spy)
+        rng = random.Random(2024)
+        zeros = small = gaps = 0
+        for case in range(36):
+            degrees = sorted(rng.sample(range(rng.choice([7, 14])), rng.randrange(3, 8)), reverse=True)
+            f, g = self.remainder_chain(rng, degrees, rng.randrange(200, 2001) // (len(degrees) - 1))
+            if case % 6 == 5:
+                common = [rng.randrange(-(1 << 300), 1 << 300) for _ in range(rng.randrange(2, 4))]
+                f, g = poly_mul(f, common), poly_mul(g, common)
+            start = len(seen)
+            r = resultant_z(f, g)
+            gaps += any(delta >= 2 for _, delta in seen[start + 1:])
+            oracle = sylvester_resultant if max(len(f), len(g)) <= 7 else oracle_resultant
+            assert r == oracle(f, g), (f, g)
+            small += oracle is sylvester_resultant
+            assert resultant_z(g, f) == (-1) ** ((len(f) - 1) * (len(g) - 1)) * r
+            zeros += r == 0
+        assert zeros == 6 and small >= 10 and gaps >= 10
+        assert any(d % 2 == 0 for d, _ in seen) and any(d < 0 for d, _ in seen)
 
 
 class TestFactorTrial:
