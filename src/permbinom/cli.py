@@ -24,6 +24,10 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 
 _A_DIGITS = 40
+# Size bounds of the symbolic commands: g_poly(200) takes 0.7 s, Res(g_26, g_29)
+# has 3,706 digits (the next pair more than the 4,300 that str() converts), and
+# is_prime, trial division, takes 0.12 s at the largest prime below 10^12.
+GPOLY_ALPHA_MAX, RESULTANT_ALPHA_MAX, GCDCHAIN_P_MAX = 200, 29, 10**12
 
 
 class UsageError(Exception):
@@ -49,6 +53,14 @@ def _field_and_element(spec: str, a_text: str):
     if not 0 < a < ctx.q2:
         raise UsageError(f"a = {a} is not a nonzero element of F_{ctx.q2}")
     return ctx, a
+
+
+def _at_most(name: str, value: int, bound: int) -> None:
+    """A UsageError naming the bound if value is above it; 24 digits echoed."""
+    if value > bound:
+        text = str(value)
+        raise UsageError(f"{name} = {text[:24]}{'...' if len(text) > 24 else ''} "
+                         f"is above the size bound {bound}")
 
 
 def _emit(args, payload: dict, text_lines: List[str]) -> None:
@@ -126,7 +138,7 @@ def cmd_hermite_profile(args) -> int:
     q = ctx.q
     sums = {alpha: hermite.s_q(ctx, a, alpha) for alpha in range(q)}
     root_ok = not hermite.has_nonzero_root(ctx, a)
-    is_pp = hermite.hermite_pp_test(ctx, a)
+    is_pp = hermite.hermite(root_ok, sums.values())
     payload = _report(
         "hermite-profile",
         {"q": args.q, "a": a},
@@ -145,6 +157,7 @@ def cmd_hermite_profile(args) -> int:
 
 
 def cmd_gpoly(args) -> int:
+    _at_most("alpha", args.alpha, GPOLY_ALPHA_MAX)
     try:
         rec = symalg.g_poly(args.alpha)
     except symalg.BadAlpha as exc:
@@ -166,6 +179,8 @@ def cmd_gpoly(args) -> int:
 
 
 def cmd_resultant(args) -> int:
+    _at_most("left", args.left, RESULTANT_ALPHA_MAX)
+    _at_most("right", args.right, RESULTANT_ALPHA_MAX)
     try:
         f = symalg.g_poly(args.left).g
         g = symalg.g_poly(args.right).g
@@ -189,6 +204,7 @@ def cmd_resultant(args) -> int:
 
 def cmd_gcdchain(args) -> int:
     p = args.p
+    _at_most("p", p, GCDCHAIN_P_MAX)
     if not is_prime(p):
         raise UsageError(f"p = {p} is not prime")
     polys = [list(symalg.g_poly(alpha).g) for alpha in (2, 5, 8)]
@@ -305,15 +321,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a", required=True)
 
     sp = add("gpoly", cmd_gpoly, help="print the elimination polynomial g_alpha")
-    sp.add_argument("--alpha", required=True, type=int)
+    sp.add_argument("--alpha", required=True, type=int, help=f"2 mod 3, 2 to {GPOLY_ALPHA_MAX}")
 
     sp = add("resultant", cmd_resultant, help="resultant of two g polynomials")
-    sp.add_argument("--left", type=int, default=2)
-    sp.add_argument("--right", type=int, default=5)
+    sp.add_argument("--left", type=int, default=2, help=f"2 mod 3, 2 to {RESULTANT_ALPHA_MAX}")
+    sp.add_argument("--right", type=int, default=5, help=f"2 mod 3, 2 to {RESULTANT_ALPHA_MAX}")
     sp.add_argument("--factor", action="store_true")
 
     sp = add("gcdchain", cmd_gcdchain, help="gcd(g_2, g_5, g_8) mod p and evaluations")
-    sp.add_argument("--p", required=True, type=int)
+    sp.add_argument("--p", required=True, type=int, help="a prime up to 10^12")
 
     sp = add("sporadic", cmd_sporadic, help="census of a values for a target q")
     sp.add_argument("--q", required=True, type=int)

@@ -9,7 +9,9 @@ decimal form of the encoding).
 Every field carries three int32 tables over a generator g: exp[k] = g^k,
 log[x] (-1 at x = 0) and the Zech table zech[k] = log(1 + g^k) (-1 where
 g^k = -1).  Multiplication and powers are log/exp lookups, and a + b =
-a * (1 + b/a) is one Zech lookup, for every p.
+a * (1 + b/a) is one Zech lookup, for every p.  exp takes two lookups per
+power: multiplying by g is F_p-linear, so g * (lo + q*hi) is the digit-wise
+sum of two q-entry tables of the products g*lo and g*x^e*hi.
 
 Polynomials over F_p (``FpPoly``) are little-endian lists of residues with
 no trailing zeros; [] is the zero polynomial.
@@ -18,9 +20,8 @@ no trailing zeros; [] is the zero polynomial.
 from __future__ import annotations
 
 import math
-import operator
 from array import array
-from typing import Iterator, List, Sequence
+from typing import Iterator, List
 
 # Hard bound on field size accepted by make_field.  Every accepted field is
 # tabled: exp, log and Zech hold 12 bytes per element, 192 MiB at the bound.
@@ -206,11 +207,12 @@ class FieldCtx:
     def _build_tables(self) -> None:
         """The smallest-encoding generator g, then exp, log and Zech.  g is
         found on coefficient lists: it has order q^2 - 1 iff g^((q^2-1)/r)
-        is not 1 for each prime r dividing q^2 - 1."""
+        is not 1 for each prime r dividing q^2 - 1.  The search starts at p,
+        since every constant has order dividing p - 1 < q^2 - 1."""
         order, m = self.q2 - 1, list(self.modulus)
         cofactors = [order // r for r in prime_factors(order)]
         self.generator = next(
-            g for g in range(2, self.q2)
+            g for g in range(self.p, self.q2)
             if all(fp_powmod(list(self.to_coeffs(g)), k, m, self.p) != [1] for k in cofactors))
         self._exp = array("i", self._generator_powers())
         log = self._log = array("i", [-1]) * self.q2
@@ -221,36 +223,32 @@ class FieldCtx:
         self._zech = array("i", (log[x - x % p + (x + 1) % p] for x in self._exp))
 
     def _generator_powers(self) -> Iterator[int]:
-        """g^0, ..., g^(q^2 - 2), each acc * g by Horner's rule on g's digits:
-        r = g_top * acc, then r = x*r + g_k * acc, where x*r shifts the digits
-        up and subtracts the top one times the modulus.  For p = 2 that is
-        shifts and XORs on the encoding; odd p works on digits, encoded once.
+        """g^0, ..., g^(q^2 - 2).  v = lo + q*hi with lo, hi < q, and g*v is
+        the digit-wise sum of low[lo] = g*lo and high[hi] = g*x^e*hi, held in
+        radix r: r = 2 for p = 2, where the sum is an XOR, and r = 2p - 1 >
+        2(p - 1) for odd p, where it is one int add with no carry between
+        digits, and ``norm`` maps either half's e digits to its encoding mod p.
         """
-        p, n = self.p, self.n
-        lead, *low = fp_trim(list(self.to_coeffs(self.generator)))[::-1]
+        p, e, q = self.p, self.e, self.q
+        m, g = list(self.modulus), list(self.to_coeffs(self.generator))
+        r = 2 if p == 2 else 2 * p - 1
+        halves = [list(self.to_coeffs(u)) for u in range(q)]
+        low, high = ([sum(c * r**k for k, c in enumerate(fp_mulmod(g, shift + h, m, p)))
+                      for h in halves] for shift in ([], [0] * e))
         if p == 2:
-            m, top, acc = self.from_coeffs(self.modulus), 1 << n, 1
+            acc = 1
             for _ in range(self.q2 - 1):
                 yield acc
-                r = acc
-                for c in low:
-                    r <<= 1
-                    if r & top:
-                        r ^= m
-                    if c:
-                        r ^= acc
-                acc = r
+                acc = low[acc % q] ^ high[acc // q]
             return
-        # wrap[t]: the digits of -t * (m - x^n), which a top digit t shifts into.
-        wrap = [[-t * b % p for b in self.modulus[:n]] for t in range(p)]
-        place = [p**k for k in range(n)]
-        d = [1] + [0] * (n - 1)
+        norm = array("i", [0])
+        for k in range(e):
+            norm = array("i", (v + d % p * p**k for d in range(r) for v in norm))
+        half, lo, hi = r**e, 1, 0
         for _ in range(self.q2 - 1):
-            yield sum(map(operator.mul, d, place))
-            r = d if lead == 1 else [lead * v % p for v in d]
-            for c in low:
-                r = [(s + t + c * v) % p for s, t, v in zip((0, *r), wrap[r[-1]], d)]
-            d = r
+            yield lo + q * hi
+            s = low[lo] + high[hi]
+            lo, hi = norm[s % half], norm[s // half]
 
     # -- identity / hashing ----------------------------------------------------
 
@@ -265,12 +263,6 @@ class FieldCtx:
         return f"{self.p}^{self.e}"
 
     # -- encoding --------------------------------------------------------------
-
-    def from_coeffs(self, coeffs: Sequence[int]) -> int:
-        v = 0
-        for c in reversed(coeffs):
-            v = v * self.p + c % self.p
-        return v
 
     def to_coeffs(self, a: int) -> tuple:
         out = []
@@ -368,5 +360,7 @@ def lucas_binom(p: int, m: int, k: int) -> int:
 
 
 def is_primitive_cube_root(ctx: FieldCtx, y: int) -> bool:
-    """True iff y^2 + y + 1 = 0 in the field."""
-    return ctx.add(ctx.add(ctx.mul(y, y), y), 1) == 0
+    """True iff y^2 + y + 1 = 0: y != 0 and 1 + y = -y^2, one Zech lookup
+    against log(-1) + 2 log y, where -1 encodes as p - 1."""
+    ly = ctx._log[y]
+    return y != 0 and ctx._zech[ly] == (ctx._log[ctx.p - 1] + 2 * ly) % (ctx.q2 - 1)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 from permbinom.ffield import FieldCtx, lucas_binom
 
@@ -176,6 +177,10 @@ def hermite_pp_test(ctx: FieldCtx, a: int) -> bool:
     """
     if a == 0:
         raise PreconditionViolated("a must be nonzero")
-    if has_nonzero_root(ctx, a):
-        return False
-    return all(s_q(ctx, a, alpha) == 0 for alpha in range(ctx.q))
+    return hermite(not has_nonzero_root(ctx, a), (s_q(ctx, a, alpha) for alpha in range(ctx.q)))
+
+
+def hermite(only_root_zero: bool, sums: Iterable[int]) -> bool:
+    """The reduced criterion on its evidence: a PP iff 0 is the only root and
+    every S_q(alpha, a) is 0.  A lazy ``sums`` is read only until decided."""
+    return only_root_zero and all(s == 0 for s in sums)

@@ -1,16 +1,18 @@
-"""Slow reference computations that only the tests use: addition and
-negation digit by digit, multiplication of coefficient polynomials modulo
-the field's modulus, the literal power sums of the binomial map, the
-Lemma 3.1 power-sum profile, the partition of the units by a^((q+1)/3),
-the copy of F_q inside F_{q^2}, S_q(alpha, a) with its terms rebuilt on
-every call, exact integer polynomial evaluation, and the resultant by the
-fraction-free subresultant sequence with a pseudo-remainder and a
-division per coefficient.  Each is a direct
+"""Slow reference computations that only the tests use: the encoding of a
+coefficient vector, addition and negation digit by digit, multiplication of
+coefficient polynomials modulo the field's modulus, the generator's powers
+by Horner's rule on its digits, the literal power sums of the binomial map,
+the Lemma 3.1 power-sum profile, the partition of the units by
+a^((q+1)/3), the copy of F_q inside F_{q^2}, S_q(alpha, a) with its terms
+rebuilt on every call, exact integer polynomial evaluation, and the
+resultant by the fraction-free subresultant sequence with a
+pseudo-remainder and a division per coefficient.  Each is a direct
 computation, kept apart from the library so that it checks the library
 independently."""
 
+import operator
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from permbinom.ffield import FieldCtx, fp_mulmod, fp_trim, is_primitive_cube_root, lucas_binom
 from permbinom.hermite import BinomialMap, PreconditionViolated, interval_census
@@ -40,11 +42,53 @@ def oracle_neg(ctx: FieldCtx, a: int) -> int:
     return v
 
 
+def from_coeffs(ctx: FieldCtx, coeffs: Sequence[int]) -> int:
+    """The encoding sum(c_k * p**k) of a coefficient vector, each c_k mod p."""
+    v = 0
+    for c in reversed(coeffs):
+        v = v * ctx.p + c % ctx.p
+    return v
+
+
 def oracle_mul(ctx: FieldCtx, a: int, b: int) -> int:
     """a * b by multiplying coefficient polynomials mod the modulus (the
     oracle of the exp/log tables)."""
     fa, fb = list(ctx.to_coeffs(a)), list(ctx.to_coeffs(b))
-    return ctx.from_coeffs(fp_mulmod(fa, fb, list(ctx.modulus), ctx.p))
+    return from_coeffs(ctx, fp_mulmod(fa, fb, list(ctx.modulus), ctx.p))
+
+
+def oracle_generator_powers(ctx: FieldCtx) -> Iterator[int]:
+    """g^0, ..., g^(q^2 - 2), each acc * g by Horner's rule on g's digits:
+    r = g_top * acc, then r = x*r + g_k * acc, where x*r shifts the digits
+    up and subtracts the top one times the modulus.  For p = 2 that is
+    shifts and XORs on the encoding; odd p works on digits, encoded once.
+    (``FieldCtx._generator_powers``'s oracle.)
+    """
+    p, n = ctx.p, ctx.n
+    lead, *low = fp_trim(list(ctx.to_coeffs(ctx.generator)))[::-1]
+    if p == 2:
+        m, top, acc = from_coeffs(ctx, ctx.modulus), 1 << n, 1
+        for _ in range(ctx.q2 - 1):
+            yield acc
+            r = acc
+            for c in low:
+                r <<= 1
+                if r & top:
+                    r ^= m
+                if c:
+                    r ^= acc
+            acc = r
+        return
+    # wrap[t]: the digits of -t * (m - x^n), which a top digit t shifts into.
+    wrap = [[-t * b % p for b in ctx.modulus[:n]] for t in range(p)]
+    place = [p**k for k in range(n)]
+    d = [1] + [0] * (n - 1)
+    for _ in range(ctx.q2 - 1):
+        yield sum(map(operator.mul, d, place))
+        r = d if lead == 1 else [lead * v % p for v in d]
+        for c in low:
+            r = [(s + t + c * v) % p for s, t, v in zip((0, *r), wrap[r[-1]], d)]
+        d = r
 
 
 def poly_eval(f: Sequence[int], x: int) -> int:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import permbinom
-from permbinom import classify, symalg
+from permbinom import classify, hermite, symalg
 from permbinom.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, run
 
 
@@ -77,6 +77,19 @@ class TestOtherSubcommands:
         code, out, _ = invoke(capsys, "hermite-profile", "--q", "5", "--a", "3")
         assert code == EXIT_OK
         assert "S(0)" in out and "verdict" in out
+
+    @pytest.mark.parametrize("a, is_pp", [("3", True), ("2", False), ("1", False)],
+                             ids=["pp", "nonzero-sum", "nonzero-root"])
+    def test_hermite_profile_sums_each_alpha_once(self, capsys, monkeypatch, a, is_pp):
+        # The verdict is read off the printed sums and root test, with no
+        # second pass over S_q; q = 8, and a = 1 has a nonzero root.
+        s_q, calls = hermite.s_q, []
+        monkeypatch.setattr(hermite, "s_q",
+                            lambda ctx, a, alpha: calls.append(alpha) or s_q(ctx, a, alpha))
+        code, out, _ = invoke(capsys, "hermite-profile", "--q", "2^3", "--a", a, "--json")
+        results = json.loads(out)["results"]
+        assert code == EXIT_OK and calls == list(range(8))
+        assert results["is_pp"] is is_pp and results["only_root_zero"] is (a != "1")
 
     def test_resultant_factored(self, capsys):
         code, out, _ = invoke(capsys, "resultant", "--left", "2", "--right", "5",
@@ -201,6 +214,33 @@ class TestBadInputExitCodes:
 
     def test_gcdchain_non_prime_p(self, capsys):
         self.assert_usage_error(capsys, "gcdchain", "--p", "4", says="p = 4 is not prime")
+
+    @pytest.mark.parametrize("p", [str(10**12 + 39), "1000000000000000000000000000057"])
+    def test_gcdchain_p_above_bound(self, capsys, p):
+        # Checked before the trial-division primality test, which would run
+        # for minutes on the second value; the echo keeps 24 digits.
+        err = self.assert_usage_error(capsys, "gcdchain", "--p", p,
+                                      says="above the size bound 1000000000000")
+        assert p[:24] in err and (len(p) <= 24 or p not in err)
+
+    def test_gcdchain_p_at_bound(self, capsys):
+        # The largest prime below 10^12 is accepted.
+        code, out, _ = invoke(capsys, "gcdchain", "--p", "999999999989")
+        assert code == EXIT_OK and out == "gcd(g_2, g_5, g_8) mod 999999999989 = 1\n"
+
+    def test_gpoly_alpha_at_bound(self, capsys):
+        code, out, _ = invoke(capsys, "gpoly", "--alpha", "200")
+        assert code == EXIT_OK and out.count("\n") == 1 and "y^599+" in out  # deg 3*alpha - 1
+
+    @pytest.mark.parametrize("argv, says", [
+        (["gpoly", "--alpha", "203"], "alpha = 203 is above the size bound 200"),
+        (["gpoly", "--alpha", "500", "--json"], "alpha = 500 is above the size bound 200"),
+        (["resultant", "--left", "32"], "left = 32 is above the size bound 29"),
+        (["resultant", "--left", "29", "--right", "32"], "right = 32 is above the size bound 29"),
+        (["resultant", "--right", "62", "--factor"], "right = 62 is above the size bound 29"),
+    ])
+    def test_alpha_above_bound(self, capsys, argv, says):
+        self.assert_usage_error(capsys, *argv, says=says)
 
 
 class TestContract:

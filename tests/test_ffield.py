@@ -1,9 +1,11 @@
 import hashlib
 import math
 import random
+from array import array
 
 import pytest
 
+from permbinom import ffield
 from permbinom.ffield import (
     NonPrimeP,
     SizeExceeded,
@@ -17,7 +19,8 @@ from permbinom.ffield import (
     parse_field_descriptor,
 )
 
-from oracles import oracle_add, oracle_mul, oracle_neg, subfield_q_members
+from oracles import (from_coeffs, oracle_add, oracle_generator_powers, oracle_mul,
+                     oracle_neg, subfield_q_members)
 
 
 def first_irreducible_by_enumeration(p, n):
@@ -129,8 +132,8 @@ class TestArithmetic:
 
     def test_f4_mul_forced_by_modulus(self, fields):
         ctx = fields(2, 1)
-        x = ctx.from_coeffs([0, 1])
-        assert ctx.mul(x, x) == ctx.from_coeffs([1, 1])
+        x = from_coeffs(ctx, [0, 1])
+        assert ctx.mul(x, x) == from_coeffs(ctx, [1, 1])
 
     def test_identity(self, fields):
         ctx = fields(5, 1)
@@ -315,6 +318,60 @@ class TestTables:
     def test_exp_digest_unchanged(self, p, e, fields):
         digest = hashlib.sha256(str(list(fields(p, e)._exp)).encode()).hexdigest()
         assert digest == EXP_SHA256[(p, e)]
+
+
+# TABLE_FIELDS plus larger odd-p fields with several digits per half, and 2^9.
+BUILDER_FIELDS = TABLE_FIELDS + [(3, 4), (3, 5), (7, 2), (2, 9)]
+
+
+class TestTwoTableBuilder:
+    """The two-table ``_generator_powers`` against the Horner oracle."""
+
+    @pytest.mark.parametrize("p,e", BUILDER_FIELDS)
+    def test_tables_match_horner_oracle(self, p, e, fields):
+        ctx = fields(p, e)
+        order = ctx.q2 - 1
+        exp = array("i", oracle_generator_powers(ctx))
+        assert ctx._exp.tobytes() == exp.tobytes()
+        log = array("i", [-1]) * ctx.q2
+        for i, x in enumerate(exp):
+            log[x] = i
+        assert -1 not in log[1:]  # the oracle's powers of g are all q^2 - 1 units
+        assert ctx._log.tobytes() == log.tobytes()
+        # The smallest generator: every smaller unit has a log sharing a factor with the order.
+        assert all(math.gcd(log[c], order) > 1 for c in range(1, ctx.generator))
+        minus_one = oracle_neg(ctx, 1)
+        zech = array("i", (-1 if x == minus_one else log[oracle_add(ctx, 1, x)] for x in exp))
+        assert ctx._zech.tobytes() == zech.tobytes()
+
+    @pytest.mark.parametrize("p,e", [(2, 1), (2, 5), (3, 3), (5, 2), (127, 1), (7, 2)])
+    def test_builds_from_2q_products(self, p, e, fields, monkeypatch):
+        # 2q polynomial products fill the two tables; a per-element multiply
+        # would make q^2 - 1 of them.
+        ctx = fields(p, e)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return fp_mulmod(*args)
+
+        monkeypatch.setattr(ffield, "fp_mulmod", counting)
+        powers = list(ctx._generator_powers())
+        assert len(calls) == 2 * ctx.q
+        assert powers == list(ctx._exp)
+
+
+class TestCubeRootLookup:
+    @pytest.mark.parametrize("p,e", TABLE_FIELDS)
+    def test_against_polynomial_oracle(self, p, e, fields):
+        # y^2 + y + 1 by the digit and polynomial oracles.  In characteristic
+        # 3 that is (y - 1)^2, so only y = 1 answers True; every other p has
+        # 3 | p^2 - 1, so F_{q^2} holds both primitive cube roots.
+        ctx = fields(p, e)
+        roots = [y for y in ctx.elements() if is_primitive_cube_root(ctx, y)]
+        assert roots == [y for y in ctx.elements()
+                         if oracle_add(ctx, oracle_add(ctx, oracle_mul(ctx, y, y), y), 1) == 0]
+        assert len(roots) == (1 if p == 3 else 2)
 
 
 class TestLucasBinom:
