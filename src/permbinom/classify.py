@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from permbinom.ffield import (
     FieldCtx,
@@ -207,8 +207,11 @@ def elimination_pipeline() -> EliminationReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PPVerdict:
+class PPVerdict(NamedTuple):
+    """The verdicts on one (q, a): brute force and Hermite (None when not
+    asked for) and the predicate.  A named tuple, since the sweep builds one
+    per pair."""
+
     q: int
     p: int
     e: int
@@ -219,20 +222,12 @@ class PPVerdict:
 
     @property
     def agree(self) -> bool:
-        votes = {v for v in (self.brute, self.hermite, self.predicted) if v is not None}
-        return len(votes) == 1
+        """Every decider that ran returned the predicate's verdict."""
+        return ((self.brute is None or self.brute == self.predicted)
+                and (self.hermite is None or self.hermite == self.predicted))
 
     def to_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "p": self.p,
-            "e": self.e,
-            "a": self.a,
-            "brute": self.brute,
-            "hermite": self.hermite,
-            "predicted": self.predicted,
-            "agree": self.agree,
-        }
+        return dict(self._asdict(), agree=self.agree)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -277,8 +272,7 @@ def classify(ctx: FieldCtx, a: int, method: str) -> PPVerdict:
     a decider that ``method`` leaves out reads None."""
     brute = brute_pp_test(ctx, a) if method in ("brute", "both") else None
     herm = hermite_pp_test(ctx, a) if method in ("hermite", "both") else None
-    return PPVerdict(q=ctx.q, p=ctx.p, e=ctx.e, a=a, brute=brute, hermite=herm,
-                     predicted=theorem_predicate(ctx, a))
+    return PPVerdict(ctx.q, ctx.p, ctx.e, a, brute, herm, theorem_predicate(ctx, a))
 
 
 def _sweep_one_q(args: Tuple[int, str]) -> List[PPVerdict]:

@@ -11,7 +11,9 @@ is known:
   F_{q^2} iff 0 is its only root and S_q(alpha, a) = 0 for all
   0 <= alpha <= q-1; only the exponents s = alpha + (q-1-alpha)q need
   checking because all other power sums vanish identically.  The root
-  condition is the closed form of ``has_nonzero_root``, one power of -a.
+  condition is the closed form of ``has_nonzero_root``, one product of
+  log a, and each S_q is summed in the log domain, one Zech lookup per
+  term of its cached term list.
 """
 
 from __future__ import annotations
@@ -115,16 +117,23 @@ def s_q(ctx: FieldCtx, a: int, alpha: int) -> int:
     """The coefficient sum S_q(alpha, a): the sum of C(alpha, i) *
     C(q-1-alpha, j) * a^(-i-jq) over all (i, j) with -alpha-1+3(i-j) a
     multiple of q+1.  The a-free term list is built once per (p, q, alpha);
-    then each call costs one mul, pow and add per nonzero term.  Stored
-    without the leading minus sign of the power-sum identity (checked
-    against ``power_sum`` in tests/oracles.py).
+    then the sum is kept as a log (-1 for 0), and each term c * a^k, of log
+    log c + k log a, is added with one Zech lookup.  Stored without the
+    leading minus sign of the power-sum identity (checked against
+    ``power_sum`` in tests/oracles.py).
     """
     if a == 0:
         raise PreconditionViolated("a must be nonzero")
-    total = 0
+    log, zech, m = ctx._log, ctx._zech, ctx.q2 - 1
+    la, total = log[a], -1
     for c, k in _s_q_terms(ctx.p, ctx.q, alpha):
-        total = ctx.add(total, ctx.mul(c, ctx.pow(a, k)))
-    return total
+        x = (log[c] + k * la) % m
+        if total < 0:
+            total = x
+        else:
+            z = zech[(x - total) % m]
+            total = -1 if z < 0 else (total + z) % m
+    return 0 if total < 0 else ctx._exp[total]
 
 
 def has_nonzero_root(ctx: FieldCtx, a: int) -> bool:
@@ -136,10 +145,11 @@ def has_nonzero_root(ctx: FieldCtx, a: int) -> bool:
     nonzero root exists iff -a is the cube of some y in mu_{q+1}.  Those
     cubes are the subgroup of order (q+1)/gcd(3, q+1), and a cyclic group
     has one subgroup of each order: the elements z with z^((q+1)/gcd) = 1.
-    That exponent is even when q is odd, so -a may be replaced by a.
+    That exponent is even when q is odd, and -1 = 1 when q is even, so -a
+    may be replaced by a, and the test is one product of log a.
     """
     q = ctx.q
-    return ctx.pow(ctx.neg(a), (q + 1) // math.gcd(3, q + 1)) == 1
+    return ctx._log[a] * ((q + 1) // math.gcd(3, q + 1)) % (ctx.q2 - 1) == 0
 
 
 def brute_pp_test(ctx: FieldCtx, a: int) -> bool:

@@ -62,67 +62,37 @@ def poly_mul(f: Sequence[Coeff], g: Sequence[Coeff]) -> List[Coeff]:
     return fp_trim(out)
 
 
-def poly_divmod_exact(f: Sequence[Coeff], g: Sequence[Coeff]) -> List[Coeff]:
-    """Quotient of f by g; raises NotDivisible unless the remainder vanishes.
+# ---------------------------------------------------------------------------
+# The bracket polynomial
+# ---------------------------------------------------------------------------
 
-    Exact over the rationals; when both inputs are integral and g is monic
-    the quotient stays integral.
+
+def _bracket_numerators(alpha: int) -> Tuple[List[int], int]:
+    """The integer numerators of B_alpha(v) over its common denominator
+    3^alpha * alpha!, and that denominator.
+
+    In the coefficient of v^j, j = 3i + l, gen_binom(i + (2*alpha - 1 + l)/3,
+    alpha) is prod(t - 3k for k < alpha) / (3^alpha alpha!), t = j + 2*alpha - 1.
     """
-    if not g:
-        raise ZeroDivisionError("division by the zero polynomial")
-    rem = fp_trim([Fraction(c) for c in f])
-    quot = [Fraction(0)] * max(0, len(rem) - len(g) + 1)
-    lead = Fraction(g[-1])
-    while len(rem) >= len(g):
-        c = rem[-1] / lead
-        k = len(rem) - len(g)
-        quot[k] = c
-        for i, gi in enumerate(g):
-            rem[k + i] -= c * gi
-        rem.pop()
-        fp_trim(rem)
-    if rem:
-        raise NotDivisible("remainder is not identically zero")
-    out = fp_trim(quot)
-    if all(c.denominator == 1 for c in out):
-        return [int(c) for c in out]
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Generalized binomials and the bracket polynomial
-# ---------------------------------------------------------------------------
-
-
-def gen_binom(x: Coeff, n: int) -> Fraction:
-    """Falling-factorial binomial x(x-1)...(x-n+1)/n!, exact over Q."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    r = Fraction(1)
-    x = Fraction(x)
-    for k in range(n):
-        r *= x - k
-    return r / math.factorial(n)
+    if alpha < 2 or alpha % 3 != 2:
+        raise BadAlpha(f"alpha = {alpha} is not 2 mod 3 with alpha >= 2")
+    nums = [(-1) ** (j // 3) * math.comb(alpha, j // 3)
+            * math.prod(range(j + 2 * alpha - 1, j - alpha - 1, -3))
+            for j in range(3 * alpha + 3)]
+    return nums, 3**alpha * math.factorial(alpha)
 
 
 def bracket_poly(alpha: int) -> List[Fraction]:
     """The rational polynomial B_alpha(v) of degree 3*alpha + 2.
 
     B_alpha(v) = sum over i in [0, alpha], l in [0, 2] of
-    (-1)^i C(alpha, i) gen_binom(i + (2*alpha - 1 + l)/3, alpha) v^(3i + l).
-    Its constant term vanishes, and clearing the 3-power denominators and
-    dividing by v(v^2 + v + 1) yields the integer polynomial g_alpha.
+    (-1)^i C(alpha, i) gen_binom(i + (2*alpha - 1 + l)/3, alpha) v^(3i + l),
+    where gen_binom(x, n) = x(x-1)...(x-n+1)/n!.  Its constant term
+    vanishes, and clearing the 3-power denominators and dividing by
+    v(v^2 + v + 1) yields the integer polynomial g_alpha.
     """
-    if alpha < 2 or alpha % 3 != 2:
-        raise BadAlpha(f"alpha = {alpha} is not 2 mod 3 with alpha >= 2")
-    out = [Fraction(0)] * (3 * alpha + 3)
-    for i in range(alpha + 1):
-        sign_binom = (-1) ** i * math.comb(alpha, i)
-        for l in range(3):
-            out[3 * i + l] += sign_binom * gen_binom(
-                Fraction(3 * i + 2 * alpha - 1 + l, 3), alpha
-            )
-    return out
+    nums, den = _bracket_numerators(alpha)
+    return [Fraction(c, den) for c in nums]
 
 
 @dataclass(frozen=True)
@@ -148,33 +118,34 @@ class GPolyRecord:
 
 
 def g_poly(alpha: int) -> GPolyRecord:
-    """Generate g_alpha from the bracket polynomial."""
-    bracket = bracket_poly(alpha)
-    den_lcm = 1
-    for c in bracket:
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    d_alpha = 0
-    rest = den_lcm
+    """Generate g_alpha from the bracket polynomial, on its integer
+    numerators: 3^d_alpha B_alpha is the numerators divided by their gcd
+    with the common denominator, whose quotient must be 3^d_alpha.  Fractions
+    are built only for the stored ``bracket``."""
+    nums, den = _bracket_numerators(alpha)
+    common = math.gcd(den, *nums)
+    rest, d_alpha = den // common, 0
     while rest % 3 == 0:
         rest //= 3
         d_alpha += 1
     if rest != 1:
-        raise FractionalResidue(
-            f"bracket denominators of alpha={alpha} are not a pure power of 3: {den_lcm}"
-        )
-    scaled = [c * 3**d_alpha for c in bracket]
-    assert all(c.denominator == 1 for c in scaled)
-    quotient = poly_divmod_exact([int(c) for c in scaled], [0, 1, 1, 1])
-    if poly_degree(quotient) != 3 * alpha - 1 or quotient[0] == 0:
-        raise NotDivisible(
-            f"quotient for alpha={alpha} does not reverse to degree {3 * alpha - 1}"
-        )
-    g = tuple(reversed(quotient))
+        raise FractionalResidue(f"bracket denominators of alpha={alpha} are not a pure "
+                                f"power of 3: {den // common}")
+    # Synthetic division by v^3 + v^2 + v, from the top: afterwards s[k] for
+    # k >= 3 is the quotient's coefficient of v^(k-3), and s[:3] the remainder.
+    s = [c // common for c in nums]
+    for k in range(len(s) - 1, 2, -1):
+        s[k - 1] -= s[k]
+        s[k - 2] -= s[k]
+    quotient = fp_trim(s[3:])
+    if any(s[:3]) or poly_degree(quotient) != 3 * alpha - 1 or quotient[0] == 0:
+        raise NotDivisible(f"3^d B_{alpha} is not v(v^2+v+1) times a polynomial that "
+                           f"reverses to degree {3 * alpha - 1}")
     record = GPolyRecord(
         alpha=alpha,
         d_alpha=d_alpha,
-        bracket=tuple(bracket),
-        g=g,
+        bracket=tuple(Fraction(c, den) for c in nums),
+        g=tuple(reversed(quotient)),
         q_bound=2 * alpha + 4,
     )
     assert record.reconstruction_holds()

@@ -4,6 +4,14 @@ import pytest
 
 from permbinom.ffield import make_field
 
+# Every (p, e) with q <= 16, then the rest with q <= 32, then the three bench
+# fields 2^7, 127 and 5^3.
+FIELDS_16 = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1),
+             (13, 1), (2, 4)]
+FIELDS_32 = FIELDS_16 + [(17, 1), (19, 1), (23, 1), (5, 2), (3, 3), (29, 1), (31, 1), (2, 5)]
+BENCH_FIELDS = [(2, 7), (127, 1), (5, 3)]
+TABLE_FIELDS = FIELDS_32 + BENCH_FIELDS
+
 
 def pytest_terminal_summary(terminalreporter):
     """Echo the acceptance-criterion pass/fail lines after the run; they are

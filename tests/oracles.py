@@ -4,19 +4,22 @@ coefficient polynomials modulo the field's modulus, the generator's powers
 by Horner's rule on its digits, the literal power sums of the binomial map,
 the Lemma 3.1 power-sum profile, the partition of the units by
 a^((q+1)/3), the copy of F_q inside F_{q^2}, S_q(alpha, a) with its terms
-rebuilt on every call, exact integer polynomial evaluation, and the
-resultant by the fraction-free subresultant sequence with a
-pseudo-remainder and a division per coefficient.  Each is a direct
-computation, kept apart from the library so that it checks the library
-independently."""
+rebuilt on every call and added by ``FieldCtx.add``, exact integer
+polynomial evaluation, the bracket polynomial and g_alpha in Fractions
+with a long division over Q, and the resultant by the fraction-free
+subresultant sequence with a pseudo-remainder and a division per
+coefficient.  Each is a direct computation, kept apart from the library so
+that it checks the library independently."""
 
+import math
 import operator
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from permbinom.ffield import FieldCtx, fp_mulmod, fp_trim, is_primitive_cube_root, lucas_binom
 from permbinom.hermite import BinomialMap, PreconditionViolated, interval_census
-from permbinom.symalg import poly_degree
+from permbinom.symalg import NotDivisible, poly_degree
 
 
 def oracle_add(ctx: FieldCtx, a: int, b: int) -> int:
@@ -97,6 +100,74 @@ def poly_eval(f: Sequence[int], x: int) -> int:
     for c in reversed(f):
         r = r * x + c
     return r
+
+
+def poly_divmod_exact(f: Sequence, g: Sequence) -> list:
+    """Quotient of f by g; raises NotDivisible unless the remainder vanishes.
+
+    Exact over the rationals; when both inputs are integral and g is monic
+    the quotient stays integral.
+    """
+    if not g:
+        raise ZeroDivisionError("division by the zero polynomial")
+    rem = fp_trim([Fraction(c) for c in f])
+    quot = [Fraction(0)] * max(0, len(rem) - len(g) + 1)
+    lead = Fraction(g[-1])
+    while len(rem) >= len(g):
+        c = rem[-1] / lead
+        k = len(rem) - len(g)
+        quot[k] = c
+        for i, gi in enumerate(g):
+            rem[k + i] -= c * gi
+        rem.pop()
+        fp_trim(rem)
+    if rem:
+        raise NotDivisible("remainder is not identically zero")
+    out = fp_trim(quot)
+    if all(c.denominator == 1 for c in out):
+        return [int(c) for c in out]
+    return out
+
+
+def gen_binom(x, n: int) -> Fraction:
+    """Falling-factorial binomial x(x-1)...(x-n+1)/n!, exact over Q."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    r = Fraction(1)
+    x = Fraction(x)
+    for k in range(n):
+        r *= x - k
+    return r / math.factorial(n)
+
+
+def oracle_bracket(alpha: int) -> List[Fraction]:
+    """B_alpha(v) summed term by term in Fractions (``bracket_poly``'s
+    oracle); alpha must be 2 mod 3."""
+    out = [Fraction(0)] * (3 * alpha + 3)
+    for i in range(alpha + 1):
+        sign_binom = (-1) ** i * math.comb(alpha, i)
+        for l in range(3):
+            out[3 * i + l] += sign_binom * gen_binom(
+                Fraction(3 * i + 2 * alpha - 1 + l, 3), alpha
+            )
+    return out
+
+
+def oracle_g(alpha: int) -> Tuple[int, Tuple[int, ...]]:
+    """(d_alpha, g_alpha) from ``oracle_bracket``: the lcm of its
+    denominators is 3^d_alpha, and g_alpha is the reversed quotient of
+    3^d_alpha B_alpha by v^3 + v^2 + v (``g_poly``'s oracle)."""
+    bracket = oracle_bracket(alpha)
+    den_lcm = 1
+    for c in bracket:
+        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
+    d_alpha = 0
+    while den_lcm % 3 == 0:
+        den_lcm //= 3
+        d_alpha += 1
+    assert den_lcm == 1
+    quotient = poly_divmod_exact([int(c * 3**d_alpha) for c in bracket], [0, 1, 1, 1])
+    return d_alpha, tuple(reversed(quotient))
 
 
 def _pseudo_rem(f: List[int], g: List[int]) -> List[int]:

@@ -5,6 +5,7 @@ from permbinom.classify import (
     CENSUS_TARGETS,
     SPORADIC_TABLE,
     FixtureMismatch,
+    PPVerdict,
     UnsupportedQ,
     elimination_pipeline,
     prime_powers,
@@ -149,6 +150,19 @@ class TestSweep:
         assert v.agree and v.to_json().startswith("{")
         assert set(v.to_dict()) == {"q", "p", "e", "a", "brute", "hermite",
                                     "predicted", "agree"}
+
+    @pytest.mark.parametrize("brute", [None, True, False])
+    @pytest.mark.parametrize("hermite", [None, True, False])
+    @pytest.mark.parametrize("predicted", [True, False])
+    def test_agree_is_one_distinct_vote(self, brute, hermite, predicted):
+        # The rule before PPVerdict became a named tuple: the non-None votes
+        # of the two deciders and the predicate form one value.
+        v = PPVerdict(5, 5, 1, 2, brute, hermite, predicted)
+        votes = {x for x in (brute, hermite, predicted) if x is not None}
+        assert v.agree is (len(votes) == 1)
+        assert v.to_dict() == {"q": 5, "p": 5, "e": 1, "a": 2, "brute": brute,
+                               "hermite": hermite, "predicted": predicted,
+                               "agree": len(votes) == 1}
 
     def test_single_method_leaves_other_none(self):
         result = sweep(5, method="hermite")

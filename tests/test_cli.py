@@ -242,6 +242,25 @@ class TestBadInputExitCodes:
     def test_alpha_above_bound(self, capsys, argv, says):
         self.assert_usage_error(capsys, *argv, says=says)
 
+    @pytest.mark.parametrize("argv", [["gcdchain", "--p"], ["gpoly", "--alpha"],
+                                      ["resultant", "--left"], ["resultant", "--right"]],
+                             ids=["gcdchain-p", "gpoly-alpha", "resultant-left", "resultant-right"])
+    def test_long_negative_below_bound(self, capsys, argv):
+        # A 4,000-digit negative value is refused with its first 24 characters.
+        value = "-" + "9" * 4000
+        err = self.assert_usage_error(capsys, *argv[:-1], f"{argv[-1]}={value}",
+                                      says=f"= {value[:24]}... is below 2")
+        assert len(err) < 200
+
+    @pytest.mark.parametrize("argv, says", [
+        (["gcdchain", "--p", "-7"], "p = -7 is below 2"),
+        (["gcdchain", "--p", "1"], "p = 1 is below 2"),
+        (["gpoly", "--alpha", "-1"], "alpha = -1 is below 2"),
+        (["resultant", "--left", "2", "--right", "-4"], "right = -4 is below 2"),
+    ], ids=["gcdchain-p-negative", "gcdchain-p-one", "gpoly-alpha", "resultant-right"])
+    def test_below_lower_bound(self, capsys, argv, says):
+        self.assert_usage_error(capsys, *argv, says=says)
+
 
 class TestContract:
     def test_unknown_flag_is_usage_error(self, capsys):

@@ -19,6 +19,7 @@ from permbinom.ffield import (
     parse_field_descriptor,
 )
 
+from conftest import BENCH_FIELDS, FIELDS_16, FIELDS_32, TABLE_FIELDS
 from oracles import (from_coeffs, oracle_add, oracle_generator_powers, oracle_mul,
                      oracle_neg, subfield_q_members)
 
@@ -214,15 +215,6 @@ class TestCubeRootsAndSubfield:
         for a in sub:
             for b in sub:
                 assert ctx.mul(a, b) in sub and ctx.add(a, b) in sub
-
-
-# Every (p, e) with q <= 16, then the rest with q <= 32, then the three bench
-# fields 2^7, 127 and 5^3.
-FIELDS_16 = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1),
-             (13, 1), (2, 4)]
-FIELDS_32 = FIELDS_16 + [(17, 1), (19, 1), (23, 1), (5, 2), (3, 3), (29, 1), (31, 1), (2, 5)]
-BENCH_FIELDS = [(2, 7), (127, 1), (5, 3)]
-TABLE_FIELDS = FIELDS_32 + BENCH_FIELDS
 
 
 class TestAddAgainstDigits:

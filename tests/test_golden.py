@@ -24,7 +24,9 @@ PAIRS = [("2^3", 3), ("2^3", 7), ("5", 3), ("11", 5), ("11", 7), ("2^7", 45),
          ("2^7", 1000), ("127", 2), ("127", 5000), ("5^3", 5), ("5^3", 7777),
          ("7", 3), ("3^2", 4), ("2^4", 6)]
 
-CASES = {"verify_max-q-32_both.json": ["verify", "--max-q", "32", "--method", "both", "--json"]}
+CASES = {"verify_max-q-32_both.json": ["verify", "--max-q", "32", "--method", "both", "--json"],
+         # One JSON line per (q, a), captured before PPVerdict became a named tuple.
+         "verify_max-q-8_verdicts.txt": ["verify", "--max-q", "8", "--verdicts"]}
 CASES.update({f"{cmd}_{q.replace('^', '-')}_a{a}.json": [cmd, "--q", q, "--a", str(a), "--json"]
               for q, a in PAIRS for cmd in ("check", "hermite-profile")})
 # The gcd chains, text and JSON: their roots come from roots_mod_p.

@@ -14,6 +14,7 @@ from permbinom.hermite import (
     s_q,
 )
 
+from conftest import TABLE_FIELDS
 from oracles import lemma31_profile, oracle_add, power_sum, s_q_oracle
 
 PRIME_POWERS_13 = (2, 3, 4, 5, 7, 8, 9, 11, 13)
@@ -155,6 +156,40 @@ class TestSqTermCache:
         for alpha in (-1, ctx.q, ctx.q + 3):
             with pytest.raises(PreconditionViolated):
                 s_q(ctx, 1, alpha)
+
+
+# The fields of TABLE_FIELDS in which no S_q(alpha, a) has a proper prefix of
+# its term list that sums to 0.
+NO_CANCELLATION = {(2, 1), (3, 1), (2, 2), (7, 1), (3, 2), (2, 4), (3, 3)}
+
+
+def prefix_cancels(ctx, a, alpha):
+    """Whether a running sum of S_q(alpha, a), in term-list order and added
+    digit by digit, is 0 before the last term."""
+    total = 0
+    for c, k in _s_q_terms(ctx.p, ctx.q, alpha)[:-1]:
+        total = oracle_add(ctx, total, ctx.mul(c, ctx.pow(a, k)))
+        if total == 0:
+            return True
+    return False
+
+
+class TestSqLogDomain:
+    """s_q keeps its running sum as a log, -1 standing for 0; a sum that
+    cancels before its last term must restart from the next one."""
+
+    @pytest.mark.parametrize("p, e", TABLE_FIELDS)
+    def test_cancelling_sums_match_oracle(self, fields, p, e):
+        ctx = fields(p, e)
+        if ctx.q <= 32:
+            pairs = [(a, alpha) for a in ctx.units() for alpha in range(ctx.q)]
+        else:
+            rng = random.Random(ctx.q)
+            pairs = [(rng.randrange(1, ctx.q2), rng.randrange(ctx.q)) for _ in range(3000)]
+        cancelling = [(a, alpha) for a, alpha in pairs if prefix_cancels(ctx, a, alpha)]
+        assert bool(cancelling) == ((p, e) not in NO_CANCELLATION)
+        for a, alpha in cancelling:
+            assert s_q(ctx, a, alpha) == s_q_oracle(ctx, a, alpha), (ctx.q, a, alpha)
 
 
 class TestIntervalCensus:

@@ -20,8 +20,6 @@ from permbinom.symalg import (
     factor_trial,
     g_poly,
     gcd_mod_p,
-    gen_binom,
-    poly_divmod_exact,
     poly_json,
     poly_mul,
     poly_str,
@@ -30,7 +28,14 @@ from permbinom.symalg import (
 )
 
 from conftest import sylvester_resultant
-from oracles import oracle_resultant, poly_eval
+from oracles import (
+    gen_binom,
+    oracle_bracket,
+    oracle_g,
+    oracle_resultant,
+    poly_divmod_exact,
+    poly_eval,
+)
 from printed_polynomials import G2, G5, G8, G11, G14, PRINTED_D
 
 FIXTURES = {2: G2, 5: G5, 8: G8, 11: G11, 14: G14}
@@ -108,6 +113,14 @@ class TestGPoly:
         # leading coefficient alternates in sign with (alpha - 2)/3
         assert (rec.g[-1] > 0) == ((alpha - 2) // 3 % 2 == 0)
         assert rec.q_bound == 2 * alpha + 4
+
+    @pytest.mark.parametrize("alpha", range(2, 63, 3))
+    def test_matches_fraction_oracle(self, alpha):
+        # The integer numerators against B_alpha summed in Fractions and g_alpha
+        # by long division over Q.
+        rec = g_poly(alpha)
+        assert bracket_poly(alpha) == list(rec.bracket) == oracle_bracket(alpha)
+        assert (rec.d_alpha, rec.g) == oracle_g(alpha)
 
     def test_alpha17_and_20_denominators_are_pure_powers_of_3(self):
         # the generation path raises FractionalResidue if not
