@@ -97,14 +97,12 @@ def theorem_predicate(ctx: FieldCtx, a: int) -> bool:
     return False
 
 
-def sporadic_census(q: int) -> Tuple[int, List[int]]:
+def sporadic_census(q: int) -> List[int]:
     """All nonzero a (as encodings) satisfying the predicate, for a target q."""
     if q not in CENSUS_TARGETS:
         raise UnsupportedQ(f"q = {q} is not a verification target")
-    p, e = _factor_prime_power(q)
-    ctx = make_field(p, e)
-    members = [a for a in ctx.units() if theorem_predicate(ctx, a)]
-    return len(members), members
+    ctx = make_field(*_factor_prime_power(q))
+    return [a for a in ctx.units() if theorem_predicate(ctx, a)]
 
 
 # ---------------------------------------------------------------------------

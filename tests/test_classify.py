@@ -51,12 +51,11 @@ class TestPredicate:
 class TestCensus:
     @pytest.mark.parametrize("q", CENSUS_TARGETS)
     def test_counts(self, q):
-        count, members = sporadic_census(q)
-        assert count == EXPECTED_COUNTS[q]
-        assert len(members) == count and len(set(members)) == count
+        members = sporadic_census(q)
+        assert len(members) == len(set(members)) == EXPECTED_COUNTS[q]
 
     def test_members_are_permutations(self, fields):
-        _, members = sporadic_census(11)
+        members = sporadic_census(11)
         ctx = fields(11, 1)
         assert all(brute_pp_test(ctx, a) for a in members)
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import shutil
@@ -9,7 +10,7 @@ import pytest
 
 import permbinom
 from permbinom import classify, hermite, symalg
-from permbinom.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, run
+from permbinom.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, build_parser, run
 
 
 def invoke(capsys, *argv):
@@ -261,8 +262,59 @@ class TestBadInputExitCodes:
     def test_below_lower_bound(self, capsys, argv, says):
         self.assert_usage_error(capsys, *argv, says=says)
 
+    # Every numeric option, by the name its error line gives it.
+    NUMERIC_OPTIONS = {"a-check": ("a", ["check", "--q", "2", "--a"]),
+                       "a-hermite-profile": ("a", ["hermite-profile", "--q", "2", "--a"]),
+                       "alpha": ("alpha", ["gpoly", "--alpha"]),
+                       "left": ("left", ["resultant", "--left"]),
+                       "right": ("right", ["resultant", "--right"]),
+                       "p": ("p", ["gcdchain", "--p"]),
+                       "max-q": ("max_q", ["verify", "--max-q"]),
+                       "jobs": ("jobs", ["verify", "--max-q", "8", "--jobs"]),
+                       "sporadic-q": ("q", ["sporadic", "--q"])}
+    BAD_NUMBERS = {"+4000": "9" * 4000, "-4000": "-" + "9" * 4000, "5000": "9" * 5000,
+                   "-5000": "-" + "9" * 5000, "2.0": "2.0", "0x10": "0x10"}
+
+    @pytest.mark.parametrize("value", BAD_NUMBERS.values(), ids=BAD_NUMBERS)
+    @pytest.mark.parametrize("option", NUMERIC_OPTIONS.values(), ids=NUMERIC_OPTIONS)
+    def test_long_or_non_integer_number(self, capsys, option, value):
+        # 4,000 and 5,000 digits lie either side of int()'s 4,300-digit limit;
+        # none is converted, and the one error line has no usage line above it.
+        name, argv = option
+        err = self.assert_usage_error(capsys, *argv[:-1], f"{argv[-1]}={value}",
+                                      says=f"{name} = ")
+        assert len(err) < 200 and "usage:" not in err
+        if len(value) < 40:
+            assert f"{name} = {value!r} is not an integer" in err
+        else:
+            assert "more than 40 digits" in err or (value[0] == "-" and "is below 2" in err)
+
 
 class TestContract:
+    def test_no_option_is_converted_by_argparse(self):
+        # Numeric options reach cli._int as text; an argparse type= would
+        # convert (and echo) an unbounded value before any size bound.
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for name, sp in sub.choices.items():
+            for action in sp._actions:
+                assert action.type is None, (name, action.dest)
+
+    @pytest.mark.parametrize("argv", [["verify", "--max-q", "5", "--verdicts"],
+                                      ["check", "--q", "5", "--a", "3"],
+                                      ["hermite-profile", "--q", "5", "--a", "3"],
+                                      ["gpoly", "--alpha", "5"], ["resultant", "--factor"],
+                                      ["gcdchain", "--p", "29"], ["sporadic", "--q", "5"],
+                                      ["pipeline"]], ids=lambda argv: argv[0])
+    def test_subcommands_return_reports(self, capsys, argv):
+        # run alone prints; a subcommand returns (config, results, lines, ok).
+        args = build_parser().parse_args(argv)
+        config, results, lines, ok = args.func(args)
+        assert capsys.readouterr() == ("", "") and ok is True
+        assert isinstance(config, dict) and isinstance(results, dict)
+        code, out, _ = invoke(capsys, *argv)
+        assert code == EXIT_OK and out == "".join(f"{line}\n" for line in lines)
+
     def test_unknown_flag_is_usage_error(self, capsys):
         assert invoke(capsys, "gpoly", "--alpha", "2", "--frobnicate")[0] == EXIT_USAGE
 

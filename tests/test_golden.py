@@ -40,6 +40,18 @@ CASES.update({f"resultant_{left}_{right}_factor.json":
               ["resultant", "--left", str(left), "--right", str(right), "--factor", "--json"]
               for left, right in ((2, 5), (26, 29))})
 
+# The remaining text outputs and the gpoly and sporadic documents, captured
+# before the subcommands returned their reports to run.
+CASES.update({"check_2-3_a7.txt": ["check", "--q", "2^3", "--a", "7"],
+              "hermite-profile_5_a3.txt": ["hermite-profile", "--q", "5", "--a", "3"],
+              "gpoly_5.txt": ["gpoly", "--alpha", "5"],
+              "gpoly_5.json": ["gpoly", "--alpha", "5", "--json"],
+              "resultant_2_5.txt": ["resultant"],
+              "sporadic_11.txt": ["sporadic", "--q", "11"],
+              "sporadic_11.json": ["sporadic", "--q", "11", "--json"],
+              "gcdchain_p2.txt": ["gcdchain", "--p", "2"],
+              "verify_max-q-13_brute.txt": ["verify", "--max-q", "13", "--method", "brute"]})
+
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stdout_matches_golden(name, capsys):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -404,6 +405,11 @@ class TestGcdChains:
 
         with pytest.raises(AllZero):
             gcd_mod_p([[5, 10], [15]], 5)
+
+    def test_g2_has_content_one(self):
+        # So no prime reduces the chain g_2, g_5, g_8 to all zeros, and the
+        # gcdchain command has no AllZero case to handle.
+        assert math.gcd(*g_poly(2).g) == 1
 
 
 class TestEvalModP:
