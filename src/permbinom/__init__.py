@@ -6,9 +6,9 @@ The package is organized in four layers; import names from the modules:
                 plus Lucas binomials.
 - ``hermite``:  the binomial map, the coefficient sums S_q(alpha, a), the
                 reduced Hermite permutation test and the brute-force oracle.
-- ``symalg``:   exact rational/integer polynomial algebra: the bracket polynomial,
-                the elimination polynomials g_alpha, resultants, factorization and
-                gcd chains mod p.
+- ``symalg``:   exact integer polynomial algebra: the bracket polynomial (as
+                3^d_alpha B_alpha), the elimination polynomials g_alpha,
+                resultants, factorization and gcd chains mod p.
 - ``classify``: the classification predicate, sporadic tables, the elimination
                 pipeline and the exhaustive equivalence sweep.
 

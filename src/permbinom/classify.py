@@ -12,6 +12,7 @@ every other characteristic.
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -31,6 +32,7 @@ from permbinom.symalg import (
     eval_mod_p,
     g_poly,
     gcd_mod_p,
+    poly_str,
     resultant_z,
     roots_mod_p,
 )
@@ -41,8 +43,7 @@ class UnsupportedQ(ValueError):
 
 
 class FixtureMismatch(AssertionError):
-    """Raised when the elimination argument has a gap: the resultant is not
-    completely factored, or a root of a gcd chain survives g_11 and g_14."""
+    """A gap in the elimination argument (see ``elimination_pipeline``)."""
 
 
 # ---------------------------------------------------------------------------
@@ -112,10 +113,12 @@ def sporadic_census(q: int) -> List[int]:
 
 @dataclass(frozen=True)
 class ChainResult:
-    """Per-prime gcd chain: gcd(g_2, g_5, g_8) mod p, its roots in F_p, the
-    evaluations of later g's at those roots, and the concluded q set."""
+    """Per-prime gcd chain: G_p = gcd(g_2, ..., g_14) mod p (``shared``),
+    gcd(g_2, g_5, g_8) mod p, its roots in F_p, the evaluations of later g's
+    at those roots, and the concluded q set."""
 
     p: int
+    shared: Tuple[int, ...]
     gcd: Tuple[int, ...]
     roots: Tuple[int, ...]
     evaluations: Dict[Tuple[int, int], int]
@@ -145,9 +148,12 @@ def elimination_pipeline() -> EliminationReport:
     direct sweep covers every smaller q.
 
     Every conclusion comes from these computed values.  ``FixtureMismatch``
-    reports the two gaps that would leave the argument open: an unfactored
-    cofactor of the resultant, which could hide a prime 2 mod 3, and a root
-    of a chain that neither g_11 nor g_14 kills.
+    reports the gaps that would leave the argument open: an unfactored
+    cofactor of the resultant, which could hide a prime 2 mod 3; a prime
+    2 mod 3 without a chain that divides both leading coefficients (a
+    shared root mod such p need not make p divide the resultant); a nonzero
+    root, in any extension, of G_p = gcd(g_2, g_5, g_8, g_11, g_14) over
+    F_p; and a root of a chain that neither g_11 nor g_14 kills.
     """
     g = {alpha: list(g_poly(alpha).g) for alpha in (2, 5, 8, 11, 14)}
     res = resultant_z(g[2], g[5])
@@ -156,9 +162,15 @@ def elimination_pipeline() -> EliminationReport:
         raise FixtureMismatch(f"Res(g_2, g_5) leaves the cofactor {fact.cofactor} "
                               "unfactored; it could hide a prime 2 mod 3")
     survivors = tuple(p for p in sorted(fact.factors) if p % 3 == 2)
+    for p in prime_factors(math.gcd(g[2][-1], g[5][-1])):
+        if p % 3 == 2 and p not in survivors:
+            raise FixtureMismatch(f"p = {p} divides both leading coefficients but has no chain")
 
     chains: Dict[int, ChainResult] = {}
     for p in survivors:
+        shared = tuple(gcd_mod_p(list(g.values()), p))
+        if any(shared[:-1]):  # monic: a power of x, whose only root is 0, if not
+            raise FixtureMismatch(f"G_{p} = {poly_str(shared, 'x')} has a nonzero root")
         gcd = tuple(gcd_mod_p([g[2], g[5], g[8]], p))
         roots = roots_mod_p(gcd, p)
         evaluations: Dict[Tuple[int, int], int] = {}
@@ -189,7 +201,7 @@ def elimination_pipeline() -> EliminationReport:
                                       f"chain mod {p} survives g_11 and g_14")
             conclusion = f"every shared root mod {p} is killed; only q = {p} remains"
             qs = (p,)
-        chains[p] = ChainResult(p=p, gcd=gcd, roots=roots, evaluations=evaluations,
+        chains[p] = ChainResult(p=p, shared=shared, gcd=gcd, roots=roots, evaluations=evaluations,
                                 conclusion=conclusion, candidate_qs=qs)
     return EliminationReport(
         resultant=res,

@@ -7,11 +7,10 @@ goes to stderr only, so identical argv always produces byte-identical stdout.
 
 ``run`` alone picks the exit code: 0 = all checks pass, 1 = mathematical
 mismatch (``ok`` false, or a ``classify.FixtureMismatch`` from ``pipeline``),
-2 = usage error (argparse, or a ``UsageError`` from a subcommand).
-
-Numeric options are taken as text and converted only by ``_int``, against
-the command's bounds; the library's own checks (the sweep's hard cap, the
-census targets, primality of p) keep their messages.
+2 = bad input: any ``ValueError`` that reaches ``run``, from argparse, from
+``_int`` or from a library input check, as one ``error:`` line.  Numeric
+options are taken as text and converted only by ``_int``, against the
+command's bounds.
 """
 
 from __future__ import annotations
@@ -19,8 +18,10 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import re
 import sys
 import time
+from fractions import Fraction
 from typing import List, Optional
 
 from permbinom import classify, hermite, symalg
@@ -37,8 +38,15 @@ EXIT_USAGE = 2
 GPOLY_ALPHA_MAX, RESULTANT_ALPHA_MAX, GCDCHAIN_P_MAX = 200, 29, 10**12
 
 
-class UsageError(Exception):
-    """A bad argument value: ``run`` prints it as one line and exits 2."""
+class UsageError(ValueError):
+    """A bad argument: ``run`` prints it as one line and exits 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Refuses by ``UsageError``; the subcommand parsers inherit the class."""
+
+    def error(self, message):  # cut to 120 characters: it may echo an argument
+        raise UsageError(f"{message[:120]}{'...' if len(message) > 120 else ''}")
 
 
 def _int(name: str, text: str, lo: Optional[int] = None, hi: Optional[int] = None) -> int:
@@ -50,11 +58,10 @@ def _int(name: str, text: str, lo: Optional[int] = None, hi: Optional[int] = Non
     if len(text) > MAX_DIGITS:
         why = (f"is below {lo}" if lo is not None and text.startswith("-")
                else f"has more than {MAX_DIGITS} digits, far beyond any size bound")
+    elif not re.fullmatch(r"[+-]?\d+", text):
+        raise UsageError(f"{name} = {text!r} is not an integer")
     else:
-        try:
-            value = int(text)
-        except ValueError:
-            raise UsageError(f"{name} = {text!r} is not an integer") from None
+        value = int(text)
         if lo is not None and value < lo:
             why = f"is below {lo}"
         elif hi is not None and value > hi:
@@ -67,10 +74,7 @@ def _int(name: str, text: str, lo: Optional[int] = None, hi: Optional[int] = Non
 def _field_and_element(spec: str, a_text: str):
     """The field F_{q^2} named by a "p^e" argument, and a checked nonzero a."""
     a = _int("a", a_text)
-    try:
-        ctx = make_field(*parse_field_descriptor(spec))
-    except ValueError as exc:  # NonPrimeP, SizeExceeded, e < 1 or no "p^e"
-        raise UsageError(exc) from None
+    ctx = make_field(*parse_field_descriptor(spec))
     if not 0 < a < ctx.q2:
         raise UsageError(f"a = {a} is not a nonzero element of F_{ctx.q2}")
     return ctx, a
@@ -93,10 +97,7 @@ def _factorization(fact: symalg.FactorResult) -> tuple:
 
 def cmd_verify(args):
     max_q, jobs = _int("max_q", args.max_q), _int("jobs", args.jobs)
-    try:
-        res = classify.sweep(q_max=max_q, method=args.method, jobs=jobs)
-    except ValueError as exc:  # SizeExceeded, no prime power up to max_q, jobs < 1
-        raise UsageError(exc) from None
+    res = classify.sweep(q_max=max_q, method=args.method, jobs=jobs)
     lines = [
         f"swept {len(res.verdicts)} (q, a) pairs for prime powers q <= {max_q}",
         "pp counts per q: "
@@ -137,16 +138,13 @@ def cmd_hermite_profile(args):
 
 def cmd_gpoly(args):
     alpha = _int("alpha", args.alpha, 2, GPOLY_ALPHA_MAX)
-    try:
-        rec = symalg.g_poly(alpha)
-    except symalg.BadAlpha as exc:
-        raise UsageError(exc) from None
+    rec = symalg.g_poly(alpha)
     results = {
         "alpha": rec.alpha,
         "d_alpha": rec.d_alpha,
         "q_bound": rec.q_bound,
         "g": poly_json(rec.g),
-        "bracket": poly_json(rec.bracket),
+        "bracket": poly_json([Fraction(c, 3**rec.d_alpha) for c in rec.scaled]),
     }
     return {"alpha": alpha}, results, [poly_str(rec.g)], True
 
@@ -154,12 +152,7 @@ def cmd_gpoly(args):
 def cmd_resultant(args):
     left = _int("left", args.left, 2, RESULTANT_ALPHA_MAX)
     right = _int("right", args.right, 2, RESULTANT_ALPHA_MAX)
-    try:
-        f = symalg.g_poly(left).g
-        g = symalg.g_poly(right).g
-    except symalg.BadAlpha as exc:
-        raise UsageError(exc) from None
-    res = symalg.resultant_z(list(f), list(g))
+    res = symalg.resultant_z(list(symalg.g_poly(left).g), list(symalg.g_poly(right).g))
     results = {"left": left, "right": right, "resultant": str(res)}
     lines = [f"Res(g_{left}, g_{right}) = {res}"]
     if args.factor:
@@ -191,10 +184,7 @@ def cmd_gcdchain(args):
 
 def cmd_sporadic(args):
     q = _int("q", args.q)
-    try:
-        members = classify.sporadic_census(q)
-    except classify.UnsupportedQ as exc:
-        raise UsageError(exc) from None
+    members = classify.sporadic_census(q)
     return {"q": q}, {"count": len(members), "elements": members}, [
         f"q = {q}: {len(members)} values of a give a permutation",
         "a = " + " ".join(str(m) for m in members),
@@ -237,7 +227,7 @@ def cmd_pipeline(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="permbinom",
         description="verify the classification of the permutation binomials "
         "a*x + x^(3q-2) over F_{q^2}",
@@ -285,15 +275,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    t0 = time.perf_counter()
-    try:
+        args = build_parser().parse_args(argv)
+        t0 = time.perf_counter()
         config, results, lines, ok = args.func(args)
-    except UsageError as exc:
+    except SystemExit:  # only --help, after printing the help
+        return EXIT_OK
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except classify.FixtureMismatch as exc:

@@ -1,12 +1,10 @@
-"""Exact symbolic layer: rational/integer polynomial algebra.
+"""Exact symbolic layer: integer polynomial algebra.
 
-Polynomials are dense little-endian coefficient lists with no trailing
-zeros; [] is the zero polynomial.  QPoly holds ``fractions.Fraction``
-coefficients, ZPoly plain ints (Python ints are arbitrary precision, so no
-separate bignum type is needed).
-
-The module generates the bracket polynomial B_alpha(v) (the inner sum of
-the closed form of S_q(alpha, a) for alpha = 2 mod 3), extracts from it the
+Polynomials are dense little-endian lists of ints with no trailing zeros;
+[] is the zero polynomial.  Python ints are arbitrary precision, so no
+separate bignum type is needed.  The rational bracket polynomial B_alpha(v)
+(the inner sum of the closed form of S_q(alpha, a) for alpha = 2 mod 3) is
+kept as the integers 3^d_alpha B_alpha.  The module extracts from them the
 integer elimination polynomial g_alpha of degree 3*alpha - 1, and provides
 the resultant / factorization / gcd-chain machinery consumed by the
 classification pipeline.
@@ -18,12 +16,9 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, Iterator, List, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from permbinom.ffield import fp_gcd, fp_trim
-
-Coeff = Union[int, Fraction]
 
 
 class BadAlpha(ValueError):
@@ -47,11 +42,11 @@ class AllZero(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def poly_degree(f: Sequence[Coeff]) -> int:
+def poly_degree(f: Sequence[int]) -> int:
     return len(f) - 1
 
 
-def poly_mul(f: Sequence[Coeff], g: Sequence[Coeff]) -> List[Coeff]:
+def poly_mul(f: Sequence[int], g: Sequence[int]) -> List[int]:
     if not f or not g:
         return []
     out = [0] * (len(f) + len(g) - 1)
@@ -67,62 +62,45 @@ def poly_mul(f: Sequence[Coeff], g: Sequence[Coeff]) -> List[Coeff]:
 # ---------------------------------------------------------------------------
 
 
-def _bracket_numerators(alpha: int) -> Tuple[List[int], int]:
-    """The integer numerators of B_alpha(v) over its common denominator
-    3^alpha * alpha!, and that denominator.
+@dataclass(frozen=True)
+class GPolyRecord:
+    """The elimination polynomial g_alpha and its provenance.
 
-    In the coefficient of v^j, j = 3i + l, gen_binom(i + (2*alpha - 1 + l)/3,
-    alpha) is prod(t - 3k for k < alpha) / (3^alpha alpha!), t = j + 2*alpha - 1.
+    ``scaled`` is 3^d_alpha B_alpha, integral (and no smaller power of 3
+    makes it so); its constant term vanishes, and dividing it by
+    v(v^2+v+1) and reversing the quotient's coefficients at degree
+    3*alpha - 1 gives ``g``.  ``q_bound`` = 2*alpha + 4 is the least q for
+    which the closed form behind the bracket is valid.
+    """
+
+    alpha: int
+    d_alpha: int
+    scaled: Tuple[int, ...]
+    g: Tuple[int, ...]
+    q_bound: int
+
+    def reconstruction_holds(self) -> bool:
+        return poly_mul([0, 1, 1, 1], list(reversed(self.g))) == fp_trim(list(self.scaled))
+
+
+def g_poly(alpha: int) -> GPolyRecord:
+    """Generate g_alpha from the bracket polynomial B_alpha(v) of degree
+    3*alpha + 2, the sum over i <= alpha, l <= 2 of (-1)^i C(alpha, i)
+    gen_binom(i + (2*alpha - 1 + l)/3, alpha) v^(3i + l), where
+    gen_binom(x, n) = x(x-1)...(x-n+1)/n!.
+
+    The work is on integer numerators over the common denominator
+    3^alpha alpha!: at j = 3i + l that gen_binom is prod(t - 3k for k <
+    alpha) / (3^alpha alpha!), t = j + 2*alpha - 1.  3^d_alpha B_alpha is
+    the numerators divided by their gcd with the denominator, whose
+    quotient must be 3^d_alpha.
     """
     if alpha < 2 or alpha % 3 != 2:
         raise BadAlpha(f"alpha = {alpha} is not 2 mod 3 with alpha >= 2")
     nums = [(-1) ** (j // 3) * math.comb(alpha, j // 3)
             * math.prod(range(j + 2 * alpha - 1, j - alpha - 1, -3))
             for j in range(3 * alpha + 3)]
-    return nums, 3**alpha * math.factorial(alpha)
-
-
-def bracket_poly(alpha: int) -> List[Fraction]:
-    """The rational polynomial B_alpha(v) of degree 3*alpha + 2.
-
-    B_alpha(v) = sum over i in [0, alpha], l in [0, 2] of
-    (-1)^i C(alpha, i) gen_binom(i + (2*alpha - 1 + l)/3, alpha) v^(3i + l),
-    where gen_binom(x, n) = x(x-1)...(x-n+1)/n!.  Its constant term
-    vanishes, and clearing the 3-power denominators and dividing by
-    v(v^2 + v + 1) yields the integer polynomial g_alpha.
-    """
-    nums, den = _bracket_numerators(alpha)
-    return [Fraction(c, den) for c in nums]
-
-
-@dataclass(frozen=True)
-class GPolyRecord:
-    """The elimination polynomial g_alpha and its provenance.
-
-    ``3**d_alpha * bracket`` is integral (and no smaller power of 3 works);
-    dividing it by v(v^2+v+1) and reversing the quotient's coefficients at
-    degree 3*alpha - 1 gives ``g``.  ``q_bound`` = 2*alpha + 4 is the least
-    q for which the closed form behind the bracket is valid.
-    """
-
-    alpha: int
-    d_alpha: int
-    bracket: Tuple[Fraction, ...]
-    g: Tuple[int, ...]
-    q_bound: int
-
-    def reconstruction_holds(self) -> bool:
-        scaled = [c * 3**self.d_alpha for c in self.bracket]
-        rev = list(reversed(self.g))
-        return poly_mul([0, 1, 1, 1], rev) == fp_trim([Fraction(c) for c in scaled])
-
-
-def g_poly(alpha: int) -> GPolyRecord:
-    """Generate g_alpha from the bracket polynomial, on its integer
-    numerators: 3^d_alpha B_alpha is the numerators divided by their gcd
-    with the common denominator, whose quotient must be 3^d_alpha.  Fractions
-    are built only for the stored ``bracket``."""
-    nums, den = _bracket_numerators(alpha)
+    den = 3**alpha * math.factorial(alpha)
     common = math.gcd(den, *nums)
     rest, d_alpha = den // common, 0
     while rest % 3 == 0:
@@ -131,9 +109,10 @@ def g_poly(alpha: int) -> GPolyRecord:
     if rest != 1:
         raise FractionalResidue(f"bracket denominators of alpha={alpha} are not a pure "
                                 f"power of 3: {den // common}")
+    scaled = tuple(c // common for c in nums)
     # Synthetic division by v^3 + v^2 + v, from the top: afterwards s[k] for
     # k >= 3 is the quotient's coefficient of v^(k-3), and s[:3] the remainder.
-    s = [c // common for c in nums]
+    s = list(scaled)
     for k in range(len(s) - 1, 2, -1):
         s[k - 1] -= s[k]
         s[k - 2] -= s[k]
@@ -144,7 +123,7 @@ def g_poly(alpha: int) -> GPolyRecord:
     record = GPolyRecord(
         alpha=alpha,
         d_alpha=d_alpha,
-        bracket=tuple(Fraction(c, den) for c in nums),
+        scaled=scaled,
         g=tuple(reversed(quotient)),
         q_bound=2 * alpha + 4,
     )
@@ -366,7 +345,7 @@ def roots_mod_p(f: Sequence[int], p: int) -> Tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def poly_str(f: Sequence[Coeff], var: str = "y") -> str:
+def poly_str(f: Sequence[int], var: str = "y") -> str:
     """Compact human form, descending: 2y^5+3y^4-23y^3-8y^2-9y+44."""
     if not fp_trim(list(f)):
         return "0"
@@ -386,7 +365,7 @@ def poly_str(f: Sequence[Coeff], var: str = "y") -> str:
     return "".join(parts)
 
 
-def poly_json(f: Sequence[Coeff]) -> List[str]:
+def poly_json(f: Sequence) -> List[str]:
     """Little-endian array of exact coefficient strings ("num/den" for rationals)."""
     return [str(c) for c in f]
 

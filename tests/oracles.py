@@ -141,8 +141,8 @@ def gen_binom(x, n: int) -> Fraction:
 
 
 def oracle_bracket(alpha: int) -> List[Fraction]:
-    """B_alpha(v) summed term by term in Fractions (``bracket_poly``'s
-    oracle); alpha must be 2 mod 3."""
+    """B_alpha(v) summed term by term in Fractions (the oracle of
+    ``g_poly``'s ``scaled`` = 3^d_alpha B_alpha); alpha must be 2 mod 3."""
     out = [Fraction(0)] * (3 * alpha + 3)
     for i in range(alpha + 1):
         sign_binom = (-1) ** i * math.comb(alpha, i)

@@ -160,8 +160,7 @@ def test_criterion_3_printed_narrative_values():
         def signed_scaled_bracket(p, alpha, x):
             rec = g_poly(alpha)
             assert x * (x * x + x + 1) % p
-            scaled = [int(c * 3**rec.d_alpha) for c in rec.bracket]
-            return (-1) ** (alpha + 1) * eval_mod_p(scaled, x, p) % p
+            return (-1) ** (alpha + 1) * eval_mod_p(rec.scaled, x, p) % p
 
         # 12 at (23, 11, -1), 2 at (29, 14, -10) and 0 at (29, 11, -10)
         assert {key: signed_scaled_bracket(*key) for key in PRINTED_RESIDUES} == PRINTED_RESIDUES

@@ -15,7 +15,7 @@ from permbinom.classify import (
 )
 from permbinom.ffield import SizeExceeded
 from permbinom.hermite import brute_pp_test
-from permbinom.symalg import FactorResult
+from permbinom.symalg import FactorResult, g_poly
 
 from oracles import coset_classes
 
@@ -103,9 +103,11 @@ class TestEliminationPipeline:
         # The p = 2 conclusion rests on the gcd x, whose only root is 0.  A
         # gcd x + 1 mod 2 has the root 1, which must go through g_11 and g_14.
         assert report.chains[2].roots == (0,)
+        # Only the chain's gcd of three is replaced: G_2 over all five stays x.
         real = classify.gcd_mod_p
         monkeypatch.setattr(
-            classify, "gcd_mod_p", lambda polys, p: [1, 1] if p == 2 else real(polys, p)
+            classify, "gcd_mod_p",
+            lambda polys, p: [1, 1] if p == 2 and len(polys) == 3 else real(polys, p)
         )
         chain = elimination_pipeline().chains[2]
         assert chain.gcd == (1, 1) and chain.roots == (1,)
@@ -132,6 +134,37 @@ class TestEliminationPipeline:
         monkeypatch.setattr(classify, "eval_mod_p", lambda f, x, p: 0)
         with pytest.raises(FixtureMismatch,
                            match="root -1 of the gcd chain mod 23 survives g_11 and g_14"):
+            elimination_pipeline()
+
+    def test_shared_gcd_of_all_five(self, report):
+        # G_p = gcd(g_2, g_5, g_8, g_11, g_14) over F_p covers every extension
+        # of F_p: only x (root 0, which no nonzero a reaches) or 1.
+        assert {p: c.shared for p, c in report.chains.items()} == {
+            2: (0, 1), 17: (1,), 23: (1,), 29: (1,)
+        }
+
+    def test_nonlinear_shared_factor_is_a_gap(self, monkeypatch):
+        # x^2 + 1 has no root in F_23 (23 = 3 mod 4), so the chain alone
+        # would conclude "no shared root mod 23"; its roots lie in F_{23^2}.
+        real = classify.gcd_mod_p
+        monkeypatch.setattr(classify, "gcd_mod_p",
+                            lambda polys, p: [1, 0, 1] if p == 23 else real(polys, p))
+        with pytest.raises(FixtureMismatch, match=r"G_23 = x\^2\+1 has a nonzero root"):
+            elimination_pipeline()
+
+    def test_leading_coefficient_primes_have_chains(self, report, monkeypatch):
+        # 2 divides both leading coefficients, 2 and -14, so a common root mod 2
+        # need not make 2 divide the resultant; 2 must have a chain of its own.
+        assert (g_poly(2).g[-1], g_poly(5).g[-1]) == (2, -14) and 2 in report.chains
+        real = classify.factor_trial
+
+        def without_2(n):
+            return FactorResult(n=n, factors={p: m for p, m in real(n).factors.items() if p != 2},
+                                complete=True)
+
+        monkeypatch.setattr(classify, "factor_trial", without_2)
+        with pytest.raises(FixtureMismatch,
+                           match="p = 2 divides both leading coefficients but has no chain"):
             elimination_pipeline()
 
 

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import json
 import os
 import shutil
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import permbinom
-from permbinom import classify, hermite, symalg
+from permbinom import classify, cli, hermite, symalg
 from permbinom.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, build_parser, run
 
 
@@ -137,7 +138,9 @@ class TestOtherSubcommands:
          lambda n: symalg.FactorResult(n=n, factors={2: 5}, complete=False, cofactor=16069),
          "cofactor 16069"),
         ("eval_mod_p", lambda f, x, p: 0, "root -1 of the gcd chain mod 23"),
-    ], ids=["incomplete-factorization", "surviving-root"])
+        ("gcd_mod_p", lambda polys, p: [1, 0, 1] if p == 23 else symalg.gcd_mod_p(polys, p),
+         "G_23 = x^2+1 has a nonzero root"),
+    ], ids=["incomplete-factorization", "surviving-root", "shared-nonlinear-factor"])
     def test_pipeline_gap_exits_1(self, capsys, monkeypatch, name, stand_in, says):
         monkeypatch.setattr(classify, name, stand_in)
         for argv in (["pipeline"], ["pipeline", "--json"]):
@@ -290,7 +293,48 @@ class TestBadInputExitCodes:
             assert "more than 40 digits" in err or (value[0] == "-" and "is below 2" in err)
 
 
+    @pytest.mark.parametrize("argv, says", [
+        (["gpoly"], "the following arguments are required: --alpha"),
+        (["check", "--q", "5"], "the following arguments are required: --a"),
+        (["verify", "--method", "fast"], "argument --method: invalid choice: 'fast'"),
+        (["verify", "--method", "x" * 5000], "argument --method: invalid choice: 'xxx"),
+        (["verify", "--bogus"], "unrecognized arguments: --bogus"),
+        (["gpoly", "--alpha", "5", "stray"], "unrecognized arguments: stray"),
+        ([], "the following arguments are required: command"),
+    ], ids=["missing-option", "missing-a", "bad-choice", "5000-char-choice", "unknown-flag",
+            "stray-positional", "no-subcommand"])
+    def test_argparse_refusal_is_one_line(self, capsys, argv, says):
+        # argparse's own refusals take the one path too: no usage block, and
+        # an echoed argument is cut.
+        err = self.assert_usage_error(capsys, *argv, says=says)
+        assert len(err) < 200 and "usage:" not in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == EXIT_OK and out.startswith("usage: permbinom") and err == ""
+
+    def test_internal_fault_is_not_a_usage_error(self, monkeypatch):
+        # Only ValueErrors are bad input; an ArithmeticError of the library
+        # is a fault, and leaves run as itself.
+        def broken(alpha):
+            raise symalg.NotDivisible("stand-in fault")
+
+        monkeypatch.setattr(symalg, "g_poly", broken)
+        with pytest.raises(symalg.NotDivisible, match="stand-in fault"):
+            run(["gpoly", "--alpha", "5"])
+
+
 class TestContract:
+    def test_no_try_outside_run(self):
+        # run alone maps exceptions to exit codes; no subcommand or helper
+        # translates a library exception by hand.
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        outside = [node.lineno for top in tree.body
+                   if not (isinstance(top, ast.FunctionDef) and top.name == "run")
+                   for node in ast.walk(top) if isinstance(node, ast.Try)]
+        assert outside == []
+
     def test_no_option_is_converted_by_argparse(self):
         # Numeric options reach cli._int as text; an argparse type= would
         # convert (and echo) an unbounded value before any size bound.

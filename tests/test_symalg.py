@@ -16,7 +16,6 @@ from permbinom.symalg import (
     BadAlpha,
     FactorResult,
     NotDivisible,
-    bracket_poly,
     eval_mod_p,
     factor_trial,
     g_poly,
@@ -69,24 +68,27 @@ class TestGenBinom:
 
 
 class TestBracket:
+    """The bracket B_alpha as g_poly keeps it: the integers 3^d_alpha B_alpha."""
+
     def test_alpha2_scaled_coefficients(self):
         # 9 * B_2(v) has the integer coefficient vector below (ascending)
-        b = bracket_poly(2)
-        assert [c * 9 for c in b] == [0, 2, 5, -18, -28, -40, 27, 35, 44]
+        rec = g_poly(2)
+        assert rec.d_alpha == 2
+        assert list(rec.scaled) == [0, 2, 5, -18, -28, -40, 27, 35, 44]
 
     def test_constant_term_vanishes(self):
         for alpha in (2, 5, 8, 11, 14):
-            assert bracket_poly(alpha)[0] == 0
+            assert g_poly(alpha).scaled[0] == 0
 
     def test_degree(self):
         for alpha in (2, 5, 8):
-            assert len(bracket_poly(alpha)) == 3 * alpha + 3
-            assert bracket_poly(alpha)[-1] != 0
+            assert len(g_poly(alpha).scaled) == 3 * alpha + 3
+            assert g_poly(alpha).scaled[-1] != 0
 
     @pytest.mark.parametrize("alpha", [0, 1, 3, 4, -1, 6])
     def test_bad_alpha(self, alpha):
         with pytest.raises(BadAlpha):
-            bracket_poly(alpha)
+            g_poly(alpha)
 
 
 class TestGPoly:
@@ -103,9 +105,8 @@ class TestGPoly:
         # 3^d * B(v) == v(v^2+v+1) * reverse(g)
         rec = g_poly(alpha)
         assert rec.reconstruction_holds()
-        scaled = [c * 3**rec.d_alpha for c in rec.bracket]
         rebuilt = poly_mul([0, 1, 1, 1], list(reversed(rec.g)))
-        assert rebuilt == scaled
+        assert rebuilt == list(rec.scaled)
 
     @pytest.mark.parametrize("alpha", [2, 5, 8, 11, 14, 17, 20])
     def test_degree_and_leading_sign(self, alpha):
@@ -120,7 +121,7 @@ class TestGPoly:
         # The integer numerators against B_alpha summed in Fractions and g_alpha
         # by long division over Q.
         rec = g_poly(alpha)
-        assert bracket_poly(alpha) == list(rec.bracket) == oracle_bracket(alpha)
+        assert [Fraction(c, 3**rec.d_alpha) for c in rec.scaled] == oracle_bracket(alpha)
         assert (rec.d_alpha, rec.g) == oracle_g(alpha)
 
     def test_alpha17_and_20_denominators_are_pure_powers_of_3(self):
