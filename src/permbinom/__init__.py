@@ -1,14 +1,16 @@
 """Exact verification toolkit for the permutation binomials a*x + x^(3q-2) over F_{q^2}.
 
-The package is organized in four layers; import names from the modules:
+The package is organized in four layers, each importing only those above
+it; import names from the modules:
 
-- ``ffield``:   exact arithmetic in F_p, F_p[x] and the extension F_{q^2},
-                plus Lucas binomials.
+- ``symalg``:   the bottom layer: integer and F_p[x] arithmetic, primes
+                (``factor_trial``, ``prime_factors``, ``is_prime``), the
+                bracket polynomial (as 3^d_alpha B_alpha), the elimination
+                polynomials g_alpha, resultants and gcd chains mod p.
+- ``ffield``:   the extension F_{q^2}, built on ``symalg``, plus Lucas
+                binomials.
 - ``hermite``:  the binomial map, the coefficient sums S_q(alpha, a), the
                 reduced Hermite permutation test and the brute-force oracle.
-- ``symalg``:   exact integer polynomial algebra: the bracket polynomial (as
-                3^d_alpha B_alpha), the elimination polynomials g_alpha,
-                resultants, factorization and gcd chains mod p.
 - ``classify``: the classification predicate, sporadic tables, the elimination
                 pipeline and the exhaustive equivalence sweep.
 

@@ -17,22 +17,17 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from permbinom.ffield import (
-    FieldCtx,
-    SizeExceeded,
-    is_prime,
-    is_primitive_cube_root,
-    make_field,
-    prime_factors,
-)
+from permbinom.ffield import FieldCtx, SizeExceeded, is_primitive_cube_root, make_field
 from permbinom.hermite import brute_pp_test, hermite_pp_test
 from permbinom.symalg import (
     FactorResult,
+    _sieve,
     factor_trial,
     eval_mod_p,
     g_poly,
     gcd_mod_p,
     poly_str,
+    prime_factors,
     resultant_z,
     roots_mod_p,
 )
@@ -263,18 +258,15 @@ class SweepResult:
 
 def prime_powers(limit: int) -> List[int]:
     """Every prime power q <= limit, ascending."""
-    return sorted(p**e for p in range(limit + 1) if is_prime(p)
+    return sorted(p**e for p in _sieve(2, limit + 1)
                   for e in range(1, limit.bit_length()) if p**e <= limit)
 
 
 def _factor_prime_power(q: int) -> Tuple[int, int]:
-    factors = prime_factors(q)
+    factors = factor_trial(q).factors
     if len(factors) != 1:
         raise ValueError(f"q = {q} is not a prime power")
-    p, e = factors[0], 1
-    while p**e < q:
-        e += 1
-    return p, e
+    return next(iter(factors.items()))
 
 
 def classify(ctx: FieldCtx, a: int, method: str) -> PPVerdict:

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from permbinom import classify, hermite, symalg
-from permbinom.ffield import MAX_DIGITS, is_prime, make_field, parse_field_descriptor
+from permbinom.ffield import MAX_DIGITS, make_field, parse_field_descriptor
 from permbinom.symalg import poly_json, poly_str
 
 EXIT_OK = 0
@@ -34,7 +34,7 @@ EXIT_USAGE = 2
 
 # Size bounds of the symbolic commands: g_poly(200) takes 0.03 s, Res(g_26, g_29)
 # has 3,706 digits (the next pair more than the 4,300 that str() converts), and
-# is_prime, trial division, takes 0.12 s at the largest prime below 10^12.
+# is_prime, from factor_trial, takes 0.07 s cold at the largest prime below 10^12.
 GPOLY_ALPHA_MAX, RESULTANT_ALPHA_MAX, GCDCHAIN_P_MAX = 200, 29, 10**12
 
 
@@ -167,7 +167,7 @@ def cmd_resultant(args):
 
 def cmd_gcdchain(args):
     p = _int("p", args.p, 2, GCDCHAIN_P_MAX)
-    if not is_prime(p):
+    if not symalg.is_prime(p):
         raise UsageError(f"p = {p} is not prime")
     # g_2 has content 1, so the chain never reduces to all zeros mod p.
     gcd = symalg.gcd_mod_p([list(symalg.g_poly(alpha).g) for alpha in (2, 5, 8)], p)

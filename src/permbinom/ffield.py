@@ -1,4 +1,5 @@
-"""Exact arithmetic in F_p, F_p[x] and the quadratic-over-F_q extension F_{q^2}.
+"""The quadratic-over-F_q extension F_{q^2}, built on ``symalg``'s F_p[x]
+arithmetic and primes.
 
 Field elements are plain Python ints: the element with coefficient vector
 (c_0, c_1, ..., c_{n-1}) over F_p (little-endian, c_k multiplies x^k) is
@@ -13,8 +14,8 @@ a * (1 + b/a) is one Zech lookup, for every p.  exp takes two lookups per
 power: multiplying by g is F_p-linear, so g * (lo + q*hi) is the digit-wise
 sum of two q-entry tables of the products g*lo and g*x^e*hi.
 
-Polynomials over F_p (``FpPoly``) are little-endian lists of residues with
-no trailing zeros; [] is the zero polynomial.
+Polynomials over F_p (``FpPoly``) are ``symalg``'s little-endian lists,
+here of residues mod p.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from __future__ import annotations
 import math
 from array import array
 from typing import Iterator, List
+
+from permbinom.symalg import fp_gcd, fp_mod, fp_trim, is_prime, poly_mul, prime_factors
 
 # Hard bound on field size accepted by make_field.  Every accepted field is
 # tabled: exp, log and Zech hold 12 bytes per element, 192 MiB at the bound.
@@ -40,26 +43,6 @@ class ZeroInverse(ZeroDivisionError):
     """Raised when a negative power of zero is requested."""
 
 
-def is_prime(n: int) -> bool:
-    """Trial-division primality check; inputs here are desk-scale."""
-    return n > 1 and prime_factors(n) == [n]
-
-
-def prime_factors(n: int) -> List[int]:
-    """Distinct prime factors of n by trial division."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # FpPoly helpers (little-endian coefficient lists over F_p)
 # ---------------------------------------------------------------------------
@@ -67,54 +50,8 @@ def prime_factors(n: int) -> List[int]:
 FpPoly = List[int]
 
 
-def fp_trim(f: FpPoly) -> FpPoly:
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def fp_mul(f: FpPoly, g: FpPoly, p: int) -> FpPoly:
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, fi in enumerate(f):
-        if fi:
-            for j, gj in enumerate(g):
-                out[i + j] = (out[i + j] + fi * gj) % p
-    return fp_trim(out)
-
-
-def fp_mod(f: FpPoly, m: FpPoly, p: int) -> FpPoly:
-    """Remainder of f modulo m (m nonzero)."""
-    r = [c % p for c in f]
-    fp_trim(r)
-    inv_lead = pow(m[-1], -1, p)
-    while len(r) >= len(m):
-        c = r[-1] * inv_lead % p
-        if c:
-            off = len(r) - len(m)
-            for k in range(len(m)):
-                r[off + k] = (r[off + k] - c * m[k]) % p
-        r.pop()
-        fp_trim(r)
-    return r
-
-
 def fp_mulmod(f: FpPoly, g: FpPoly, m: FpPoly, p: int) -> FpPoly:
-    return fp_mod(fp_mul(f, g, p), m, p)
-
-
-def fp_gcd(f: FpPoly, g: FpPoly, p: int) -> FpPoly:
-    """Monic gcd over F_p via Euclid."""
-    a, b = [c % p for c in f], [c % p for c in g]
-    fp_trim(a)
-    fp_trim(b)
-    while b:
-        a, b = b, fp_mod(a, b, p)
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [c * inv % p for c in a]
-    return a
+    return fp_mod(poly_mul(f, g), m, p)
 
 
 def fp_powmod(f: FpPoly, k: int, m: FpPoly, p: int) -> FpPoly:
@@ -138,16 +75,26 @@ def _sub_x(f: FpPoly, p: int) -> FpPoly:
 
 
 def is_irreducible(m: FpPoly, p: int) -> bool:
-    """Rabin irreducibility test for a monic polynomial over F_p."""
+    """Rabin irreducibility test for a monic polynomial over F_p: m divides
+    x^(p^n) - x, and x^(p^(n/r)) - x is prime to m for each prime r | n."""
     n = len(m) - 1
     if n < 1:
         return False
-    if _sub_x(fp_powmod([0, 1], p**n, m, p), p):
+    if fp_mod(_sub_x(fp_powmod([0, 1], p**n, m, p), p), m, p):
         return False
     for r in prime_factors(n):
         if len(fp_gcd(_sub_x(fp_powmod([0, 1], p**(n // r), m, p), p), m, p)) != 1:
             return False
     return True
+
+
+def _digits(a: int, p: int, n: int) -> List[int]:
+    """The n lowest base-p digits of a, little-endian."""
+    out = []
+    for _ in range(n):
+        a, d = divmod(a, p)
+        out.append(d)
+    return out
 
 
 def canonical_modulus(p: int, n: int) -> List[int]:
@@ -157,11 +104,7 @@ def canonical_modulus(p: int, n: int) -> List[int]:
     coefficient vector, so the choice is reproducible across runs.
     """
     for c in range(p**n):
-        m, cc = [], c
-        for _ in range(n):
-            m.append(cc % p)
-            cc //= p
-        m.append(1)
+        m = _digits(c, p, n) + [1]
         if is_irreducible(m, p):
             return m
     raise ValueError(f"no irreducible monic polynomial of degree {n} over F_{p}")
@@ -187,8 +130,8 @@ class FieldCtx:
         if e < 1:
             raise ValueError("e must be >= 1")
         n = 2 * e
-        # The bound comes first, so p^n and trial division stay small; p < 2
-        # falls through to the primality test.
+        # The bound comes first, so p^n stays small and p is far inside the
+        # range that is_prime certifies; p < 2 falls through to the primality test.
         if p > 1 and (n >= DEFAULT_SIZE_BOUND.bit_length() or p**n > DEFAULT_SIZE_BOUND):
             raise SizeExceeded(f"p^(2e) with p = {p}, e = {e} exceeds the size bound "
                                f"{DEFAULT_SIZE_BOUND}")
@@ -265,11 +208,7 @@ class FieldCtx:
     # -- encoding --------------------------------------------------------------
 
     def to_coeffs(self, a: int) -> tuple:
-        out = []
-        for _ in range(self.n):
-            out.append(a % self.p)
-            a //= self.p
-        return tuple(out)
+        return tuple(_digits(a, self.p, self.n))
 
     def scalar(self, c: int) -> int:
         """The constant-polynomial element with value c mod p."""

@@ -1,12 +1,15 @@
-"""Exact symbolic layer: integer polynomial algebra.
+"""The bottom layer: integer and F_p[x] arithmetic, primes, and the
+exact symbolic algebra of the elimination; it imports no other module of
+the package.
 
 Polynomials are dense little-endian lists of ints with no trailing zeros;
-[] is the zero polynomial.  Python ints are arbitrary precision, so no
-separate bignum type is needed.  The rational bracket polynomial B_alpha(v)
-(the inner sum of the closed form of S_q(alpha, a) for alpha = 2 mod 3) is
-kept as the integers 3^d_alpha B_alpha.  The module extracts from them the
-integer elimination polynomial g_alpha of degree 3*alpha - 1, and provides
-the resultant / factorization / gcd-chain machinery consumed by the
+[] is the zero polynomial.  ``ffield`` builds F_{q^2} on the F_p[x]
+helpers, and ``prime_factors`` and ``is_prime`` read the one factorizer,
+``factor_trial``.  The rational bracket polynomial B_alpha(v) (the inner
+sum of the closed form of S_q(alpha, a) for alpha = 2 mod 3) is kept as
+the integers 3^d_alpha B_alpha.  The module extracts from them the integer
+elimination polynomial g_alpha of degree 3*alpha - 1, and provides the
+resultant / factorization / gcd-chain machinery consumed by the
 classification pipeline.
 """
 
@@ -17,8 +20,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Sequence, Tuple
-
-from permbinom.ffield import fp_gcd, fp_trim
 
 
 class BadAlpha(ValueError):
@@ -46,6 +47,12 @@ def poly_degree(f: Sequence[int]) -> int:
     return len(f) - 1
 
 
+def fp_trim(f: List[int]) -> List[int]:
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
 def poly_mul(f: Sequence[int], g: Sequence[int]) -> List[int]:
     if not f or not g:
         return []
@@ -55,6 +62,32 @@ def poly_mul(f: Sequence[int], g: Sequence[int]) -> List[int]:
             for j, gj in enumerate(g):
                 out[i + j] += fi * gj
     return fp_trim(out)
+
+
+def fp_mod(f: Sequence[int], m: Sequence[int], p: int) -> List[int]:
+    """Remainder over F_p of f modulo m (m nonzero mod p)."""
+    r = fp_trim([c % p for c in f])
+    inv_lead = pow(m[-1], -1, p)
+    while len(r) >= len(m):
+        c = r[-1] * inv_lead % p
+        if c:
+            off = len(r) - len(m)
+            for k in range(len(m)):
+                r[off + k] = (r[off + k] - c * m[k]) % p
+        r.pop()
+        fp_trim(r)
+    return r
+
+
+def fp_gcd(f: Sequence[int], g: Sequence[int], p: int) -> List[int]:
+    """Monic gcd over F_p of the mod-p reductions of f and g, via Euclid."""
+    a, b = fp_trim([c % p for c in f]), fp_trim([c % p for c in g])
+    while b:
+        a, b = b, fp_mod(a, b, p)
+    if a:
+        inv = pow(a[-1], -1, p)
+        a = [c * inv % p for c in a]
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -309,15 +342,28 @@ def factor_trial(n: int, bound: int = 10**6) -> FactorResult:
     return FactorResult(n=n, factors=factors, complete=False, cofactor=m)
 
 
+def prime_factors(n: int) -> List[int]:
+    """The distinct prime factors of n >= 1, ascending, from ``factor_trial``.
+
+    Every n <= 10^12 is factored completely; a larger n whose cofactor is
+    left unfactored raises ValueError.
+    """
+    fact = factor_trial(n)
+    if not fact.complete:
+        raise ValueError(f"{n} has the cofactor {fact.cofactor} left unfactored")
+    return list(fact.factors)
+
+
+def is_prime(n: int) -> bool:
+    """Primality from ``prime_factors``, certified for every n <= 10^12."""
+    return n > 1 and prime_factors(n) == [n]
+
+
 def gcd_mod_p(polys: Sequence[Sequence[int]], p: int) -> List[int]:
     """Monic gcd over F_p of the mod-p reductions of integer polynomials."""
-    reduced = [fp_trim([c % p for c in f]) for f in polys]
-    reduced = [f for f in reduced if f]
-    if not reduced:
+    acc: List[int] = functools.reduce(lambda acc, f: fp_gcd(acc, f, p), polys, [])
+    if not acc:
         raise AllZero(f"all polynomials vanish mod {p}")
-    acc = reduced[0]
-    for f in reduced[1:]:
-        acc = fp_gcd(acc, f, p)
     return acc
 
 

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from permbinom.ffield import FieldCtx, fp_mulmod, fp_trim, is_primitive_cube_root, lucas_binom
+from permbinom.ffield import FieldCtx, fp_mulmod, is_primitive_cube_root, lucas_binom
 from permbinom.hermite import BinomialMap, PreconditionViolated, interval_census
-from permbinom.symalg import NotDivisible, poly_degree
+from permbinom.symalg import NotDivisible, fp_trim, poly_degree
 
 
 def oracle_add(ctx: FieldCtx, a: int, b: int) -> int:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import permbinom
-from permbinom import classify, cli, hermite, symalg
+from permbinom import classify, cli, ffield, hermite, symalg
 from permbinom.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, build_parser, run
 
 
@@ -334,6 +334,27 @@ class TestContract:
                    if not (isinstance(top, ast.FunctionDef) and top.name == "run")
                    for node in ast.walk(top) if isinstance(node, ast.Try)]
         assert outside == []
+
+    def test_layering(self):
+        # symalg <- ffield <- hermite <- classify: each module imports only
+        # the permbinom modules below it, so the import graph has no cycle.
+        def imports(module):
+            found = set()
+            for node in ast.walk(ast.parse(Path(module.__file__).read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ImportFrom):
+                    names = ([f"permbinom.{alias.name}" for alias in node.names]
+                             if node.module == "permbinom" else [node.module or ""])
+                elif isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                found.update(n.split(".")[1] for n in names if n.startswith("permbinom."))
+            return found
+
+        assert imports(symalg) == set()
+        assert imports(ffield) == {"symalg"}
+        assert imports(hermite) == {"ffield"}
+        assert imports(classify) == {"ffield", "hermite", "symalg"}
 
     def test_no_option_is_converted_by_argparse(self):
         # Numeric options reach cli._int as text; an argparse type= would

@@ -82,6 +82,12 @@ class TestConstruction:
             assert is_irreducible(list(ctx.modulus), p)
             assert len(ctx.modulus) == 2 * e + 1 and ctx.modulus[-1] == 1
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_linear_polynomials_are_irreducible(self, p):
+        # Rabin's first test reduces x mod m, which is a constant for deg m = 1.
+        assert all(is_irreducible([c, 1], p) for c in range(p))
+        assert ffield.canonical_modulus(p, 1) == [0, 1]
+
     def test_descriptor_roundtrip(self):
         assert parse_field_descriptor("2^3") == (2, 3)
         assert parse_field_descriptor("29") == (29, 1)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permbinom import symalg
-from permbinom.ffield import fp_trim, make_field
+from permbinom.ffield import make_field
 from permbinom.hermite import s_q
 from permbinom.symalg import (
     BadAlpha,
@@ -18,11 +18,14 @@ from permbinom.symalg import (
     NotDivisible,
     eval_mod_p,
     factor_trial,
+    fp_trim,
     g_poly,
     gcd_mod_p,
+    is_prime,
     poly_json,
     poly_mul,
     poly_str,
+    prime_factors,
     resultant_z,
     roots_mod_p,
 )
@@ -385,6 +388,41 @@ class TestSegmentedFactorTrial:
         self.assert_same(r, 10**6)
 
 
+class TestPrimes:
+    """prime_factors and is_prime, read from factor_trial, against the d-loop."""
+
+    @staticmethod
+    def assert_same(n):
+        want = trial_division_oracle(n)
+        assert want.complete
+        assert prime_factors(n) == list(want.factors), n
+        assert is_prime(n) == (want.factors == {n: 1}), n
+
+    def test_every_n_below_2_14(self):
+        for n in range(1, SEGMENT):
+            self.assert_same(n)
+
+    def test_unit_group_orders(self):
+        # q^2 - 1 for every prime power q <= 4096: the unit-group order of each
+        # accepted field, which the generator search factors.
+        qs = [p**e for p in range(2, 4097) if trial_division_oracle(p).factors == {p: 1}
+              for e in range(1, 13) if p**e <= 4096]
+        for q in qs:
+            self.assert_same(q * q - 1)
+
+    def test_certified_beyond_10_6(self):
+        self.assert_same(999983 * 1000003)
+        assert prime_factors(999983 * 1000003) == [999983, 1000003]
+        # The largest prime below the gcdchain --p bound of 10^12.
+        self.assert_same(999999999989)
+        assert is_prime(999999999989)
+
+    def test_unfactored_cofactor_raises(self):
+        for f in (prime_factors, is_prime):
+            with pytest.raises(ValueError, match="unfactored"):
+                f(1000003 * 1000033)
+
+
 class TestGcdChains:
     def test_mod2_chain(self):
         assert gcd_mod_p([G2, G5, G8], 2) == [0, 1]
@@ -400,6 +438,9 @@ class TestGcdChains:
 
     def test_mod29_chain(self):
         assert gcd_mod_p([G2, G5, G8], 29) == [3, 1]
+
+    def test_single_input_is_made_monic(self):
+        assert gcd_mod_p([[2, 4]], 5) == [3, 1] == gcd_mod_p([[2, 4], [2, 4]], 5)
 
     def test_all_zero_raises(self):
         from permbinom.symalg import AllZero
