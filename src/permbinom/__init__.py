@@ -15,6 +15,8 @@ it; import names from the modules:
                 pipeline and the exhaustive equivalence sweep.
 
 ``cli`` exposes everything as a reproducible command-line tool (``permbinom``).
+Result records are read-only ``typing.NamedTuple``s, cheaper to create at
+import than classes whose methods a decorator generates with ``exec``.
 The literal power sums and the Lemma 3.1 profile that check ``hermite`` are
 test oracles in ``tests/oracles.py``.
 """

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from permbinom.ffield import FieldCtx, SizeExceeded, is_primitive_cube_root, make_field
@@ -46,8 +45,7 @@ class FixtureMismatch(AssertionError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SporadicSpec:
+class SporadicSpec(NamedTuple):
     """One sporadic family: a^exponent must be a root of every listed factor's
     product (factors are little-endian integer polynomials over the prime
     field, evaluated inside F_{q^2} since the power may land outside F_q)."""
@@ -106,8 +104,7 @@ def sporadic_census(q: int) -> List[int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChainResult:
+class ChainResult(NamedTuple):
     """Per-prime gcd chain: G_p = gcd(g_2, ..., g_14) mod p (``shared``),
     gcd(g_2, g_5, g_8) mod p, its roots in F_p, the evaluations of later g's
     at those roots, and the concluded q set."""
@@ -121,8 +118,7 @@ class ChainResult:
     candidate_qs: Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class EliminationReport:
+class EliminationReport(NamedTuple):
     resultant: int
     factorization: FactorResult
     surviving_primes: Tuple[int, ...]
@@ -238,13 +234,12 @@ class PPVerdict(NamedTuple):
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-@dataclass
-class SweepResult:
+class SweepResult(NamedTuple):
     q_max: int
     method: str
     verdicts: List[PPVerdict]
-    pp_counts: Dict[int, int] = field(default_factory=dict)
-    disagreements: List[PPVerdict] = field(default_factory=list)
+    pp_counts: Dict[int, int]
+    disagreements: List[PPVerdict]
 
     def summary(self) -> dict:
         return {
@@ -310,7 +305,7 @@ def sweep(q_max: int = DEFAULT_Q_MAX, method: str = "both", jobs: int = 1) -> Sw
             per_q = list(pool.map(_sweep_one_q, tasks))
     else:
         per_q = [_sweep_one_q(t) for t in tasks]
-    result = SweepResult(q_max=q_max, method=method, verdicts=[])
+    result = SweepResult(q_max, method, [], {}, [])
     for verdicts in per_q:
         result.verdicts.extend(verdicts)
         if verdicts:

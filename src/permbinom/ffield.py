@@ -101,11 +101,13 @@ def canonical_modulus(p: int, n: int) -> List[int]:
     """First irreducible monic degree-n polynomial over F_p.
 
     Candidates are ordered by the base-p integer value of their lower
-    coefficient vector, so the choice is reproducible across runs.
+    coefficient vector, so the choice is reproducible across runs.  For
+    n >= 2, a candidate with a root at 0 (m[0] = 0) or at 1 (sum(m) = 0
+    mod p) has a linear factor, and is skipped before Rabin's test.
     """
     for c in range(p**n):
         m = _digits(c, p, n) + [1]
-        if is_irreducible(m, p):
+        if (n == 1 or m[0] and sum(m) % p) and is_irreducible(m, p):
             return m
     raise ValueError(f"no irreducible monic polynomial of degree {n} over F_{p}")
 
@@ -193,13 +195,7 @@ class FieldCtx:
             s = low[lo] + high[hi]
             lo, hi = norm[s % half], norm[s // half]
 
-    # -- identity / hashing ----------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, FieldCtx) and (self.p, self.e) == (other.p, other.e)
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.e))
+    # -- identity --------------------------------------------------------------
 
     def descriptor(self) -> str:
         """The "p^e" text form of the base field F_q."""

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from permbinom.ffield import FieldCtx, lucas_binom
 
@@ -30,16 +29,16 @@ class PreconditionViolated(ValueError):
     """Raised when an operation's hypothesis on (q, a) does not hold."""
 
 
-@dataclass(frozen=True)
 class BinomialMap:
     """The map x -> a*x + x^(3q-2) with a != 0; 0 maps to 0."""
 
-    ctx: FieldCtx
-    a: int
+    __slots__ = ("ctx", "a")
 
-    def __post_init__(self):
-        if self.a == 0:
+    def __init__(self, ctx: FieldCtx, a: int):
+        if a == 0:
             raise PreconditionViolated("a must be nonzero")
+        self.ctx = ctx
+        self.a = a
 
     @property
     def exponent(self) -> int:
@@ -52,8 +51,7 @@ class BinomialMap:
         return ctx.add(ctx.mul(self.a, x), ctx.pow(x, self.exponent))
 
 
-@dataclass(frozen=True)
-class IntervalCensus:
+class IntervalCensus(NamedTuple):
     """Multiples of q+1 in the exponent-shift interval of a given alpha.
 
     The paper displays the interval's upper end as alpha - 1, but the range

@@ -18,8 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 
 class BadAlpha(ValueError):
@@ -95,8 +94,7 @@ def fp_gcd(f: Sequence[int], g: Sequence[int], p: int) -> List[int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GPolyRecord:
+class GPolyRecord(NamedTuple):
     """The elimination polynomial g_alpha and its provenance.
 
     ``scaled`` is 3^d_alpha B_alpha, integral (and no smaller power of 3
@@ -261,8 +259,7 @@ def resultant_z(f: Sequence[int], g: Sequence[int]) -> int:
     return sign * b[0] ** da // h ** (da - 1)
 
 
-@dataclass(frozen=True)
-class FactorResult:
+class FactorResult(NamedTuple):
     """Trial-division factorization; ``complete`` is False when a cofactor
     above the proving range is left unfactored."""
 
@@ -360,8 +357,10 @@ def is_prime(n: int) -> bool:
 
 
 def gcd_mod_p(polys: Sequence[Sequence[int]], p: int) -> List[int]:
-    """Monic gcd over F_p of the mod-p reductions of integer polynomials."""
-    acc: List[int] = functools.reduce(lambda acc, f: fp_gcd(acc, f, p), polys, [])
+    """Monic gcd over F_p of the mod-p reductions of integer polynomials.
+    Once the gcd is 1 it stays 1, so the inputs after that are not reduced."""
+    acc: List[int] = functools.reduce(
+        lambda acc, f: acc if acc == [1] else fp_gcd(acc, f, p), polys, [])
     if not acc:
         raise AllZero(f"all polynomials vanish mod {p}")
     return acc

@@ -207,6 +207,11 @@ class TestSweep:
             q * q - 1 for q in (2, 3, 4, 5, 7, 8)
         )
 
+    def test_results_share_no_mutable_field(self):
+        a, b = sweep(8, method="brute"), sweep(8, method="brute")
+        for name in ("verdicts", "pp_counts", "disagreements"):
+            assert getattr(a, name) is not getattr(b, name), name
+
     def test_bad_method(self):
         with pytest.raises(ValueError):
             sweep(5, method="magic")

@@ -14,6 +14,19 @@ from permbinom import classify, cli, ffield, hermite, symalg
 from permbinom.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, build_parser, run
 
 
+def _imported(path):
+    """The modules a source file imports; ``from permbinom import x`` gives
+    ``permbinom.x``."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            found.update([f"permbinom.{alias.name}" for alias in node.names]
+                         if node.module == "permbinom" else [node.module or ""])
+        elif isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
 def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
@@ -339,22 +352,28 @@ class TestContract:
         # symalg <- ffield <- hermite <- classify: each module imports only
         # the permbinom modules below it, so the import graph has no cycle.
         def imports(module):
-            found = set()
-            for node in ast.walk(ast.parse(Path(module.__file__).read_text(encoding="utf-8"))):
-                if isinstance(node, ast.ImportFrom):
-                    names = ([f"permbinom.{alias.name}" for alias in node.names]
-                             if node.module == "permbinom" else [node.module or ""])
-                elif isinstance(node, ast.Import):
-                    names = [alias.name for alias in node.names]
-                else:
-                    continue
-                found.update(n.split(".")[1] for n in names if n.startswith("permbinom."))
-            return found
+            return {n.split(".")[1] for n in _imported(Path(module.__file__))
+                    if n.startswith("permbinom.")}
 
         assert imports(symalg) == set()
         assert imports(ffield) == {"symalg"}
         assert imports(hermite) == {"ffield"}
         assert imports(classify) == {"ffield", "hermite", "symalg"}
+
+    def test_no_dataclasses(self):
+        # Records are NamedTuples: a dataclass generates its methods with exec
+        # at import, and importing dataclasses also loads inspect and ast.
+        for path in Path(permbinom.__file__).parent.glob("*.py"):
+            assert "dataclasses" not in {n.split(".")[0] for n in _imported(path)}, path.name
+
+    def test_records_are_read_only(self):
+        report = classify.elimination_pipeline()
+        for record, name in [(symalg.g_poly(2), "g"), (symalg.factor_trial(12), "n"),
+                             (hermite.interval_census(8, 2), "q"),
+                             (classify.SPORADIC_TABLE[0], "q"), (report.chains[2], "p"),
+                             (report, "resultant")]:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
 
     def test_no_option_is_converted_by_argparse(self):
         # Numeric options reach cli._int as text; an argparse type= would

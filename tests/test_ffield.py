@@ -10,6 +10,7 @@ from permbinom.ffield import (
     NonPrimeP,
     SizeExceeded,
     ZeroInverse,
+    canonical_modulus,
     fp_mulmod,
     fp_powmod,
     is_irreducible,
@@ -63,6 +64,13 @@ class TestConstruction:
     @pytest.mark.parametrize("p,e", [(5, 1), (2, 3), (3, 1), (7, 1)])
     def test_canonical_modulus_matches_enumeration_oracle(self, p, e):
         assert list(make_field(p, e).modulus) == first_irreducible_by_enumeration(p, 2 * e)
+
+    # Every degree with p^n <= 2^14, which includes (2, 14), the modulus of
+    # the bench field 2^7.  (3, 2) is x^2 + 1, whose linear coefficient is 0.
+    @pytest.mark.parametrize("p,n", [(p, n) for p in (2, 3, 5, 7)
+                                     for n in range(1, 15) if p**n <= 2**14])
+    def test_screened_search_matches_enumeration_oracle(self, p, n):
+        assert canonical_modulus(p, n) == first_irreducible_by_enumeration(p, n)
 
     def test_reproducible(self):
         a, b = make_field(11, 1), make_field(11, 1)

@@ -448,6 +448,14 @@ class TestGcdChains:
         with pytest.raises(AllZero):
             gcd_mod_p([[5, 10], [15]], 5)
 
+    def test_stops_at_one(self, monkeypatch):
+        # gcd(x+1, x+2) = 1 mod 5; the inputs after it, [5, 10] = 0 mod 5
+        # among them, are not reduced.
+        calls, fp_gcd = [], symalg.fp_gcd
+        monkeypatch.setattr(symalg, "fp_gcd", lambda f, g, p: calls.append(g) or fp_gcd(f, g, p))
+        assert gcd_mod_p([[1, 1], [2, 1], [5, 10], [3, 1]], 5) == [1]
+        assert calls == [[1, 1], [2, 1]]
+
     def test_g2_has_content_one(self):
         # So no prime reduces the chain g_2, g_5, g_8 to all zeros, and the
         # gcdchain command has no AllZero case to handle.
