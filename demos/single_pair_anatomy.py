@@ -10,11 +10,11 @@ Run:  python3 demos/single_pair_anatomy.py [p^e] [a]
 import sys
 
 from permbinom.classify import theorem_predicate
-from permbinom.ffield import make_field, parse_field_descriptor
+from permbinom.ffield import make_field
 from permbinom.hermite import BinomialMap, brute_pp_test, hermite_pp_test, s_q
 
-spec = sys.argv[1] if len(sys.argv) > 1 else "2^3"
-p, e = parse_field_descriptor(spec)
+p_text, _, e_text = (sys.argv[1] if len(sys.argv) > 1 else "2^3").partition("^")
+p, e = int(p_text), int(e_text or 1)
 ctx = make_field(p, e)
 a = int(sys.argv[2]) if len(sys.argv) > 2 else 3
 q = ctx.q

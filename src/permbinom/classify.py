@@ -25,6 +25,7 @@ from permbinom.symalg import (
     eval_mod_p,
     g_poly,
     gcd_mod_p,
+    is_prime,
     poly_str,
     prime_factors,
     resultant_z,
@@ -126,6 +127,26 @@ class EliminationReport(NamedTuple):
     candidate_qs: Tuple[int, ...]
 
 
+def chain_polys() -> Dict[int, List[int]]:
+    """g_alpha for the alphas of the elimination: 2, 5, 8, 11 and 14."""
+    return {alpha: list(g_poly(alpha).g) for alpha in (2, 5, 8, 11, 14)}
+
+
+def gcd_chain(p: int, g: Dict[int, List[int]]) -> tuple:
+    """The gcd chain mod a prime p over ``g`` (from ``chain_polys``):
+    gcd(g_2, g_5, g_8) mod p, its roots in F_p, and g_11 and g_14 at every
+    root, keyed (alpha, r) with r the signed residue in (-p/2, p/2].
+
+    g_2 has content 1, so the chain never reduces to all zeros mod p.
+    """
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+    gcd = tuple(gcd_mod_p([g[2], g[5], g[8]], p))
+    roots = roots_mod_p(gcd, p)
+    return gcd, roots, {(alpha, r - p if r > p // 2 else r): eval_mod_p(g[alpha], r, p)
+                        for alpha in (11, 14) for r in roots}
+
+
 def elimination_pipeline() -> EliminationReport:
     """Replay the elimination argument that leaves only small q.
 
@@ -146,7 +167,7 @@ def elimination_pipeline() -> EliminationReport:
     root, in any extension, of G_p = gcd(g_2, g_5, g_8, g_11, g_14) over
     F_p; and a root of a chain that neither g_11 nor g_14 kills.
     """
-    g = {alpha: list(g_poly(alpha).g) for alpha in (2, 5, 8, 11, 14)}
+    g = chain_polys()
     res = resultant_z(g[2], g[5])
     fact = factor_trial(res)
     if not fact.complete:
@@ -162,38 +183,25 @@ def elimination_pipeline() -> EliminationReport:
         shared = tuple(gcd_mod_p(list(g.values()), p))
         if any(shared[:-1]):  # monic: a power of x, whose only root is 0, if not
             raise FixtureMismatch(f"G_{p} = {poly_str(shared, 'x')} has a nonzero root")
-        gcd = tuple(gcd_mod_p([g[2], g[5], g[8]], p))
-        roots = roots_mod_p(gcd, p)
-        evaluations: Dict[Tuple[int, int], int] = {}
+        gcd, roots, table = gcd_chain(p, g)
+        # Kill early: g_14 only where g_11 vanishes, and nothing at the root 0.
+        evaluations = {} if roots == (0,) else {
+            (alpha, r): v for (alpha, r), v in table.items() if alpha == 11 or table[11, r] == 0}
+        alive = [r for (alpha, r), v in evaluations.items() if alpha == 14 and v == 0]
+        if alive:
+            raise FixtureMismatch(f"root {', '.join(map(str, alive))} of the gcd "
+                                  f"chain mod {p} survives g_11 and g_14")
         if roots == (0,):
             # The gcd's only root is 0, which no power of a nonzero a can
             # reach, so no q >= 32 of characteristic p works; the powers of p
             # below that are handled by the direct sweep.
             conclusion = f"no q >= 32 with p = {p} (shared root would be 0)"
-            qs: Tuple[int, ...] = ()
         elif not roots:
             conclusion = f"no shared root mod {p}; only q = {p} remains"
-            qs = (p,)
         else:
-            # Signed residues, which also key ``evaluations``.
-            alive = [r - p if r > p // 2 else r for r in roots]
-            for alpha in (11, 14):
-                still = []
-                for r in alive:
-                    val = eval_mod_p(g[alpha], r, p)
-                    evaluations[(alpha, r)] = val
-                    if val == 0:
-                        still.append(r)
-                alive = still
-                if not alive:
-                    break
-            if alive:
-                raise FixtureMismatch(f"root {', '.join(map(str, alive))} of the gcd "
-                                      f"chain mod {p} survives g_11 and g_14")
             conclusion = f"every shared root mod {p} is killed; only q = {p} remains"
-            qs = (p,)
         chains[p] = ChainResult(p=p, shared=shared, gcd=gcd, roots=roots, evaluations=evaluations,
-                                conclusion=conclusion, candidate_qs=qs)
+                                conclusion=conclusion, candidate_qs=() if roots == (0,) else (p,))
     return EliminationReport(
         resultant=res,
         factorization=fact,

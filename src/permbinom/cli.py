@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from permbinom import classify, hermite, symalg
-from permbinom.ffield import MAX_DIGITS, make_field, parse_field_descriptor
+from permbinom.ffield import make_field
 from permbinom.symalg import poly_json, poly_str
 
 EXIT_OK = 0
@@ -34,8 +34,13 @@ EXIT_USAGE = 2
 
 # Size bounds of the symbolic commands: g_poly(200) takes 0.03 s, Res(g_26, g_29)
 # has 3,706 digits (the next pair more than the 4,300 that str() converts), and
-# is_prime, from factor_trial, takes 0.07 s cold at the largest prime below 10^12.
-GPOLY_ALPHA_MAX, RESULTANT_ALPHA_MAX, GCDCHAIN_P_MAX = 200, 29, 10**12
+# is_prime certifies every p <= TRIAL_BOUND^2 = 10^12, in 0.07 s cold at the
+# largest prime below it.
+GPOLY_ALPHA_MAX, RESULTANT_ALPHA_MAX, GCDCHAIN_P_MAX = 200, 29, symalg.TRIAL_BOUND**2
+
+# The longest number text that _int converts.  Any longer one is far beyond
+# every size bound, and is neither converted nor echoed.
+MAX_DIGITS = 40
 
 
 class UsageError(ValueError):
@@ -72,12 +77,18 @@ def _int(name: str, text: str, lo: Optional[int] = None, hi: Optional[int] = Non
 
 
 def _field_and_element(spec: str, a_text: str):
-    """The field F_{q^2} named by a "p^e" argument, and a checked nonzero a."""
+    """The field F_{q^2} named by a "p^e" (or bare "p") argument, and a checked nonzero a."""
     a = _int("a", a_text)
-    ctx = make_field(*parse_field_descriptor(spec))
+    p_text, caret, e_text = spec.partition("^")
+    ctx = make_field(_int('p of "p^e"', p_text), _int('e of "p^e"', e_text) if caret else 1)
     if not 0 < a < ctx.q2:
         raise UsageError(f"a = {a} is not a nonzero element of F_{ctx.q2}")
     return ctx, a
+
+
+def _evaluations(table: dict) -> dict:
+    """A chain's evaluations {(alpha, r): value} keyed "g_alpha(r)"."""
+    return {f"g_{alpha}({r})": v for (alpha, r), v in table.items()}
 
 
 def _factorization(fact: symalg.FactorResult) -> tuple:
@@ -167,16 +178,8 @@ def cmd_resultant(args):
 
 def cmd_gcdchain(args):
     p = _int("p", args.p, 2, GCDCHAIN_P_MAX)
-    if not symalg.is_prime(p):
-        raise UsageError(f"p = {p} is not prime")
-    # g_2 has content 1, so the chain never reduces to all zeros mod p.
-    gcd = symalg.gcd_mod_p([list(symalg.g_poly(alpha).g) for alpha in (2, 5, 8)], p)
-    roots = symalg.roots_mod_p(gcd, p)
-    evals = {}
-    for alpha in (11, 14):
-        gx = list(symalg.g_poly(alpha).g)
-        for r in roots:
-            evals[f"g_{alpha}({r - p if r > p // 2 else r})"] = symalg.eval_mod_p(gx, r, p)
+    gcd, roots, table = classify.gcd_chain(p, classify.chain_polys())
+    evals = _evaluations(table)
     lines = [f"gcd(g_2, g_5, g_8) mod {p} = {poly_str(gcd, 'x')}"]
     lines += [f"  {k} mod {p} = {v}" for k, v in evals.items()]
     return {"p": p}, {"gcd": poly_json(gcd), "roots": roots, "evaluations": evals}, lines, True
@@ -198,7 +201,7 @@ def cmd_pipeline(args):
         str(p): {
             "gcd": poly_json(c.gcd),
             "roots": list(c.roots),
-            "evaluations": {f"g_{alpha}({r})": v for (alpha, r), v in c.evaluations.items()},
+            "evaluations": _evaluations(c.evaluations),
             "conclusion": c.conclusion,
         }
         for p, c in report.chains.items()

@@ -253,23 +253,6 @@ def make_field(p: int, e: int) -> FieldCtx:
     return FieldCtx(p, e)
 
 
-# The longest number that parse_field_descriptor and the CLI convert.  Any
-# longer one is far beyond every size bound, and is neither converted nor echoed.
-MAX_DIGITS = 40
-
-
-def parse_field_descriptor(s: str) -> tuple:
-    """Parse a "p^e" string into (p, e); bare "p" means e = 1."""
-    ps, caret, es = s.partition("^")
-    if max(len(ps), len(es)) > MAX_DIGITS:
-        raise SizeExceeded(f"field {s[:24]!r}... has a p or e of more than {MAX_DIGITS} "
-                           f"digits, far above the size bound {DEFAULT_SIZE_BOUND}")
-    try:
-        return int(ps), (int(es) if caret else 1)
-    except ValueError:
-        raise ValueError(f'field {s!r} is not of the form "p^e"') from None
-
-
 # ---------------------------------------------------------------------------
 # Combinatorial helpers
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import functools
 import math
 from typing import Iterable, NamedTuple
 
-from permbinom.ffield import FieldCtx, lucas_binom
+from permbinom.ffield import DEFAULT_SIZE_BOUND, FieldCtx, lucas_binom
 
 
 class PreconditionViolated(ValueError):
@@ -86,13 +86,13 @@ def interval_census(q: int, alpha: int) -> IntervalCensus:
     )
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.lru_cache(maxsize=math.isqrt(DEFAULT_SIZE_BOUND))
 def _s_q_terms(p: int, q: int, alpha: int) -> tuple:
     """The nonzero terms (c, k) of S_q(alpha, a) = sum of c * a^k, with
     c = C(alpha, i) * C(q-1-alpha, j) mod p (Lucas) and k = -i - j*q mod
     q^2 - 1.  Only the <= 3 admissible differences d = i - j are iterated.
-    Keyed on ints, so the cache keeps no field's tables alive.  4096
-    entries hold every alpha of the largest accepted q, 2^12.
+    Keyed on ints, so the cache keeps no field's tables alive.  It holds
+    every alpha of the largest accepted q, sqrt(DEFAULT_SIZE_BOUND) = 2^12.
     """
     order = q * q - 1
     terms = []

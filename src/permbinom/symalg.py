@@ -276,6 +276,8 @@ class FactorResult(NamedTuple):
 
 
 _SEGMENT = 1 << 14
+# factor_trial's default bound: it certifies every n <= TRIAL_BOUND^2 = 10^12.
+TRIAL_BOUND = 10**6
 
 
 def _sieve(lo: int, hi: int) -> Iterator[int]:
@@ -300,7 +302,7 @@ def _segment_product(lo: int, hi: int) -> int:
     return math.prod(_sieve(lo, hi))
 
 
-def factor_trial(n: int, bound: int = 10**6) -> FactorResult:
+def factor_trial(n: int, bound: int = TRIAL_BOUND) -> FactorResult:
     """Factor |n| by trial division by the primes up to ``bound``.
 
     The primes are taken in segments of 2^14 numbers, after segments that

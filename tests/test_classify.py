@@ -7,7 +7,9 @@ from permbinom.classify import (
     FixtureMismatch,
     PPVerdict,
     UnsupportedQ,
+    chain_polys,
     elimination_pipeline,
+    gcd_chain,
     prime_powers,
     sporadic_census,
     sweep,
@@ -15,9 +17,10 @@ from permbinom.classify import (
 )
 from permbinom.ffield import SizeExceeded
 from permbinom.hermite import brute_pp_test
-from permbinom.symalg import FactorResult, g_poly
+from permbinom.symalg import FactorResult, eval_mod_p, g_poly, gcd_mod_p, roots_mod_p
 
 from oracles import coset_classes
+from printed_polynomials import G2, G5, G8, G11, G14
 
 EXPECTED_COUNTS = {2: 2, 5: 10, 8: 15, 11: 16, 17: 12, 23: 8, 29: 10, 32: 22}
 
@@ -166,6 +169,32 @@ class TestEliminationPipeline:
         with pytest.raises(FixtureMismatch,
                            match="p = 2 divides both leading coefficients but has no chain"):
             elimination_pipeline()
+
+
+class TestGcdChain:
+    G = {2: G2, 5: G5, 8: G8, 11: G11, 14: G14}
+
+    def test_chain_polys_are_the_printed_ones(self):
+        assert chain_polys() == self.G
+
+    def test_agrees_with_symalg(self):
+        # The table holds g_11 and g_14 at every root, killed or not, keyed by
+        # the residue of that root in (-p/2, p/2].
+        for p in [n for n in range(2, 200) if all(n % d for d in range(2, n))] + [16069]:
+            gcd, roots, table = gcd_chain(p, self.G)
+            assert list(gcd) == gcd_mod_p([G2, G5, G8], p)
+            assert roots == roots_mod_p(gcd, p)
+            assert len(table) == 2 * len(roots)
+            for (alpha, r), value in table.items():
+                assert alpha in (11, 14) and -p < 2 * r <= p and r % p in roots
+                assert value == eval_mod_p(self.G[alpha], r, p)
+
+    @pytest.mark.parametrize("n", [4, 9, 15])
+    def test_composite_p_is_refused(self, n):
+        # Mod 9, gcd_mod_p alone returns [1, 2, 3, 2, 1]; mod 4 and 15 it
+        # fails inside pow.
+        with pytest.raises(ValueError, match=f"p = {n} is not prime"):
+            gcd_chain(n, self.G)
 
 
 class TestSweep:

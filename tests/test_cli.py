@@ -179,6 +179,18 @@ class TestBadInputExitCodes:
     def test_check_malformed_field(self, capsys):
         self.assert_usage_error(capsys, "check", "--q", "2^x", "--a", "1", says='"p^e"')
 
+    @pytest.mark.parametrize("cmd", ["check", "hermite-profile"])
+    @pytest.mark.parametrize("q, says", [("1_1", "p of \"p^e\" = '1_1'"),
+                                         (" 11", "p of \"p^e\" = ' 11'"),
+                                         ("11^ 1", "e of \"p^e\" = ' 1'"),
+                                         ("2^3^4", "e of \"p^e\" = '3^4'")],
+                             ids=["underscore", "space", "space-in-e", "two-carets"])
+    def test_field_part_not_an_integer(self, capsys, cmd, q, says):
+        # p and e follow the rule of every numeric option: int() alone would
+        # read "1_1" and " 11" as 11, and " 1" as 1.
+        self.assert_usage_error(capsys, cmd, "--q", q, "--a", "1",
+                                says=f"{says} is not an integer")
+
     def test_check_field_too_large(self, capsys):
         self.assert_usage_error(capsys, "check", "--q", "2^13", "--a", "1",
                                 says="size bound")
@@ -359,6 +371,18 @@ class TestContract:
         assert imports(ffield) == {"symalg"}
         assert imports(hermite) == {"ffield"}
         assert imports(classify) == {"ffield", "hermite", "symalg"}
+
+    def test_one_home_for_chains_and_number_text(self):
+        # cli formats the table of classify.gcd_chain and names no chain step
+        # itself; only cli bounds the number text that it converts.
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        named = {getattr(node, key, None) for node in ast.walk(tree) for key in ("id", "attr", "name")}
+        assert not named & {"gcd_mod_p", "roots_mod_p", "eval_mod_p"}
+        defining = {path.stem for path in Path(permbinom.__file__).parent.glob("*.py")
+                    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                    and node.id == "MAX_DIGITS"}
+        assert defining == {"cli"}
 
     def test_no_dataclasses(self):
         # Records are NamedTuples: a dataclass generates its methods with exec

@@ -17,7 +17,6 @@ from permbinom.ffield import (
     is_primitive_cube_root,
     lucas_binom,
     make_field,
-    parse_field_descriptor,
 )
 
 from conftest import BENCH_FIELDS, FIELDS_16, FIELDS_32, TABLE_FIELDS
@@ -97,8 +96,6 @@ class TestConstruction:
         assert ffield.canonical_modulus(p, 1) == [0, 1]
 
     def test_descriptor_roundtrip(self):
-        assert parse_field_descriptor("2^3") == (2, 3)
-        assert parse_field_descriptor("29") == (29, 1)
         assert make_field(2, 3).descriptor() == "2^3"
 
 
