@@ -6,7 +6,8 @@ is known:
 
 - ``brute_pp_test``: the ground truth.  Evaluates the map one point
   x = g^k at a time in the log domain, one Zech lookup per point, and
-  returns at the first zero or the first collision in a bitset.
+  returns at the first zero or the first collision in a bitset.  Its loop
+  reduces indices by conditional subtraction, with no ``%``.
 - ``hermite_pp_test``: the reduced power-sum criterion.  The map permutes
   F_{q^2} iff 0 is its only root and S_q(alpha, a) = 0 for all
   0 <= alpha <= q-1; only the exponents s = alpha + (q-1-alpha)q need
@@ -19,6 +20,7 @@ is known:
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from typing import Iterable, NamedTuple
 
@@ -157,21 +159,29 @@ def brute_pp_test(ctx: FieldCtx, a: int) -> bool:
     la = log a, f(x) = g^(la+k) * (1 + g^((3q-3)k - la)), so each point is
     one Zech lookup at an index that steps by 3q - 3.  It returns at the
     first zero (f(0) = 0 already) or the first repeated log.
+
+    The loop takes no ``%``: t = (la + k) mod m runs la, ..., m-1, 0, ...,
+    la-1, and every index stays below 2m (3q - 3 <= m = q^2 - 1 for q >= 2),
+    so one conditional subtraction reduces each.
     """
     if a == 0:
         raise PreconditionViolated("a must be nonzero")
     zech, m, la = ctx._zech, ctx.q2 - 1, ctx._log[a]
     step, z = 3 * ctx.q - 3, -la % m
     seen = bytearray(m)
-    for t in range(la, la + m):  # t = la + k, the log of a*x
+    for t in itertools.chain(range(la, m), range(la)):  # the log of a*x
         s = zech[z]
         if s < 0:
             return False
-        v = (t + s) % m
+        v = t + s
+        if v >= m:
+            v -= m
         if seen[v]:
             return False
         seen[v] = 1
-        z = (z + step) % m
+        z += step
+        if z >= m:
+            z -= m
     return True
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 
@@ -183,7 +184,10 @@ def _prem_div(a: List[int], b: List[int], d: int) -> List[int]:
     and |d| >= 2^(bit_length(d)-1), so K = bits - bit_length(d) + 2 gives
     |x_j| < 2^(K-1), and x_j is the residue in [-2^(K-1), 2^(K-1)).  w is
     folded into lc(b)^(delta+1) and the Q_k, so each x_j costs delta+2
-    multiplies, a mask and a shift.
+    multiplies, a mask and a shift.  Only the low K+t bits of u,
+    lc(b)^(delta+1) and the Q_k are used: a Newton step that yields n bits
+    of w reads only the low n bits of u, and lc(b)^(delta+1) and the Q_k
+    are masked to K+t bits before w is folded in.
     """
     db, delta = len(b) - 1, len(a) - len(b)
     lead = b[-1]
@@ -204,11 +208,12 @@ def _prem_div(a: List[int], b: List[int], d: int) -> List[int]:
     u, w, n = abs(d) >> t, 1, 1
     while n < k_bits + t:  # each step doubles the correct low bits of w
         n = min(2 * n, k_bits + t)
-        w = w * (2 - u * w) & (1 << n) - 1
+        low = (1 << n) - 1
+        w = w * (2 - (u & low) * w) & low
     if d < 0:
         w = -w
-    scale = scale * w & mask
-    quot = [q * w & mask for q in quot]
+    scale = (scale & mask) * w & mask
+    quot = [(q & mask) * w & mask for q in quot]
     half, full = 1 << (k_bits - 1), 1 << k_bits
     out = []
     for j in range(db):
@@ -294,12 +299,16 @@ def _sieve(lo: int, hi: int) -> Iterator[int]:
 
 @functools.lru_cache(maxsize=128)
 def _segment_product(lo: int, hi: int) -> int:
-    """The product of the primes in [lo, hi), built on first use.
-
-    128 entries hold the 69 segments up to the default bound 10^6; a larger
-    bound cycles through the cache instead of growing it.
+    """The product of the primes in [lo, hi), built on first use as a
+    balanced tree of pairwise multiplies (a running product would multiply
+    its whole prefix by each small prime).  128 entries hold the 69
+    segments up to the default bound 10^6; a larger bound cycles through
+    the cache instead of growing it.
     """
-    return math.prod(_sieve(lo, hi))
+    level = list(_sieve(lo, hi)) or [1]
+    while len(level) > 1:
+        level = list(map(operator.mul, level[::2], level[1::2])) + level[len(level) & ~1:]
+    return level[0]
 
 
 def factor_trial(n: int, bound: int = TRIAL_BOUND) -> FactorResult:

@@ -15,7 +15,7 @@ from permbinom.hermite import (
 )
 
 from conftest import TABLE_FIELDS
-from oracles import lemma31_profile, oracle_add, power_sum, s_q_oracle
+from oracles import lemma31_profile, oracle_add, oracle_mul, power_sum, s_q_oracle
 
 PRIME_POWERS_13 = (2, 3, 4, 5, 7, 8, 9, 11, 13)
 PRIME_POWERS_32 = PRIME_POWERS_13 + (16, 17, 19, 23, 25, 27, 29, 31, 32)
@@ -235,6 +235,16 @@ def first_repeat_index(ctx, a):
     return None
 
 
+def oracle_pow(ctx, x, k):
+    """x^k by square-and-multiply with ``oracle_mul``."""
+    r = 1
+    while k:
+        if k & 1:
+            r = oracle_mul(ctx, r, x)
+        x, k = oracle_mul(ctx, x, x), k >> 1
+    return r
+
+
 class CountingLookups:
     """A stand-in for a table that counts its lookups."""
 
@@ -262,7 +272,17 @@ class TestBruteForce:
         ctx = fields(5, 1)
         assert sum(brute_pp_test(ctx, a) for a in ctx.units()) == 10
 
-    @pytest.mark.parametrize("p, e", [(2, 2), (2, 3), (5, 1), (3, 2)])
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+    def test_matches_literal_image_set(self, fields, q):
+        # f(x) = a*x + x^(3q-2) by polynomial arithmetic mod the modulus, so
+        # the image set shares no log, exp or Zech table with the scan.
+        ctx = ctx_for_q(fields, q)
+        powers = [oracle_pow(ctx, x, 3 * q - 2) for x in ctx.elements()]
+        for a in ctx.units():
+            image = {oracle_add(ctx, oracle_mul(ctx, a, x), xk) for x, xk in enumerate(powers)}
+            assert brute_pp_test(ctx, a) == (len(image) == ctx.q2), (q, a)
+
+    @pytest.mark.parametrize("p, e", [(2, 2), (2, 3), (5, 1), (3, 2), (2, 4), (7, 1)])
     def test_stops_at_first_collision(self, p, e):
         # The scan makes one Zech lookup per point x = g^k, so counting the
         # lookups counts the points evaluated.

@@ -279,9 +279,28 @@ class TestResultant:
             zeros += r == 0
         assert zeros == 6 and small >= 10 and gaps >= 10
         assert any(d % 2 == 0 for d, _ in seen) and any(d < 0 for d, _ in seen)
+        # Dense pairs have normal sequences whose late divisors d are odd and
+        # at least 2^(K-1), so every low bit of d enters the inverse.
+        for _ in range(8):
+            f = [rng.randrange(-(1 << 200), 1 << 200) for _ in range(rng.randrange(6, 10))]
+            g = [rng.randrange(-(1 << 200), 1 << 200) for _ in range(rng.randrange(4, len(f)))]
+            assert resultant_z(f, g) == oracle_resultant(f, g), (f, g)
+        assert any(d % 2 and abs(d).bit_length() > 2000 for d, _ in seen)
 
 
 class TestFactorTrial:
+    def test_segment_products(self, monkeypatch):
+        # A prime above 10^12 makes factor_trial visit every segment up to
+        # the default bound; each product must be that of the sieved primes.
+        visited = []
+        monkeypatch.setattr(symalg, "_segment_product", lambda lo, hi: visited.append((lo, hi)) or 1)
+        factor_trial(2**61 - 1)
+        monkeypatch.undo()
+        assert len(visited) == 69 and visited[-1][0] <= 10**6 < visited[-1][1]
+        for lo, hi in visited:
+            assert symalg._segment_product(lo, hi) == math.prod(symalg._sieve(lo, hi)), (lo, hi)
+        assert symalg._segment_product(114, 127) == 1
+
     def test_resultant_factorization(self):
         res = factor_trial(abs(resultant_z(G2, G5)))
         assert res.complete
