@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from permbinom.ffield import FieldCtx, SizeExceeded, is_primitive_cube_root, make_field
@@ -309,6 +308,9 @@ def sweep(q_max: int = DEFAULT_Q_MAX, method: str = "both", jobs: int = 1) -> Sw
     qs = prime_powers(q_max)
     tasks = [(q, method) for q in qs]
     if jobs > 1:
+        # Imported here: it loads multiprocessing, which no other path needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             per_q = list(pool.map(_sweep_one_q, tasks))
     else:

@@ -21,7 +21,6 @@ import json
 import re
 import sys
 import time
-from fractions import Fraction
 from typing import List, Optional
 
 from permbinom import classify, hermite, symalg
@@ -148,6 +147,8 @@ def cmd_hermite_profile(args):
 
 
 def cmd_gpoly(args):
+    from fractions import Fraction  # only gpoly prints rationals
+
     alpha = _int("alpha", args.alpha, 2, GPOLY_ALPHA_MAX)
     rec = symalg.g_poly(alpha)
     results = {

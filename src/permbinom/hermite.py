@@ -13,8 +13,9 @@ is known:
   0 <= alpha <= q-1; only the exponents s = alpha + (q-1-alpha)q need
   checking because all other power sums vanish identically.  The root
   condition is the closed form of ``has_nonzero_root``, one product of
-  log a, and each S_q is summed in the log domain, one Zech lookup per
-  term of its cached term list.
+  log a, and each S_q is summed in the log domain by the one kernel that
+  ``s_q`` also uses, one Zech lookup per term of its cached term list;
+  a sum with no terms is skipped.
 """
 
 from __future__ import annotations
@@ -113,26 +114,34 @@ def _s_q_terms(p: int, q: int, alpha: int) -> tuple:
     return tuple(terms)
 
 
-def s_q(ctx: FieldCtx, a: int, alpha: int) -> int:
-    """The coefficient sum S_q(alpha, a): the sum of C(alpha, i) *
-    C(q-1-alpha, j) * a^(-i-jq) over all (i, j) with -alpha-1+3(i-j) a
-    multiple of q+1.  The a-free term list is built once per (p, q, alpha);
-    then the sum is kept as a log (-1 for 0), and each term c * a^k, of log
-    log c + k log a, is added with one Zech lookup.  Stored without the
-    leading minus sign of the power-sum identity (checked against
-    ``power_sum`` in tests/oracles.py).
-    """
-    if a == 0:
-        raise PreconditionViolated("a must be nonzero")
-    log, zech, m = ctx._log, ctx._zech, ctx.q2 - 1
-    la, total = log[a], -1
-    for c, k in _s_q_terms(ctx.p, ctx.q, alpha):
+def _log_sum(terms: tuple, la: int, log, zech, m: int) -> int:
+    """The log of the sum of c * g^(k*la) over the terms (c, k), or -1 for 0.
+    The running sum is kept as a log and each term, of log log c + k*la, is
+    added with one Zech lookup; a sum that cancels restarts from the next
+    term.  The one summing loop of ``s_q`` and ``hermite_pp_test``."""
+    total = -1
+    for c, k in terms:
         x = (log[c] + k * la) % m
         if total < 0:
             total = x
         else:
             z = zech[(x - total) % m]
             total = -1 if z < 0 else (total + z) % m
+    return total
+
+
+def s_q(ctx: FieldCtx, a: int, alpha: int) -> int:
+    """The coefficient sum S_q(alpha, a): the sum of C(alpha, i) *
+    C(q-1-alpha, j) * a^(-i-jq) over all (i, j) with -alpha-1+3(i-j) a
+    multiple of q+1.  The a-free term list is built once per (p, q, alpha)
+    and summed in the log domain by ``_log_sum``.  Stored without the
+    leading minus sign of the power-sum identity (checked against
+    ``power_sum`` in tests/oracles.py).
+    """
+    if a == 0:
+        raise PreconditionViolated("a must be nonzero")
+    log = ctx._log
+    total = _log_sum(_s_q_terms(ctx.p, ctx.q, alpha), log[a], log, ctx._zech, ctx.q2 - 1)
     return 0 if total < 0 else ctx._exp[total]
 
 
@@ -191,11 +200,22 @@ def hermite_pp_test(ctx: FieldCtx, a: int) -> bool:
     The only-root-zero condition is the closed form of ``has_nonzero_root``
     for every q.  No case is assumed impossible a priori: for 3 not dividing
     q+1 the sums are still computed whenever 0 is the only root, so the
-    divisibility necessity is observed, not hard-coded.
+    divisibility necessity is observed, not hard-coded.  The sums run in
+    alpha order through ``_log_sum``, with the tables bound once; an empty
+    term list is skipped, term lists are built only as far as the first
+    nonzero sum, and that sum decides.
     """
     if a == 0:
         raise PreconditionViolated("a must be nonzero")
-    return hermite(not has_nonzero_root(ctx, a), (s_q(ctx, a, alpha) for alpha in range(ctx.q)))
+    if has_nonzero_root(ctx, a):
+        return False
+    log, zech, m, p, q = ctx._log, ctx._zech, ctx.q2 - 1, ctx.p, ctx.q
+    la = log[a]
+    for alpha in range(q):
+        terms = _s_q_terms(p, q, alpha)
+        if terms and _log_sum(terms, la, log, zech, m) >= 0:
+            return False
+    return True
 
 
 def hermite(only_root_zero: bool, sums: Iterable[int]) -> bool:

@@ -311,6 +311,25 @@ def _segment_product(lo: int, hi: int) -> int:
     return level[0]
 
 
+def _multiplicity(m: int, p: int) -> Tuple[int, int]:
+    """(k, m / p^k) for the largest k with p^k | m.  m is divided by p, p^2,
+    p^4, ... while they divide it, then by each smaller power once on the way
+    back down: about 2*log2(k) divisions, not k."""
+    k, e, pe, powers = 0, 1, p, []
+    while True:
+        quo, rem = divmod(m, pe)
+        if rem:
+            break
+        m, k = quo, k + e
+        powers.append((pe, e))
+        e, pe = 2 * e, pe * pe
+    for pe, e in reversed(powers):
+        quo, rem = divmod(m, pe)
+        if not rem:
+            m, k = quo, k + e
+    return k, m
+
+
 def factor_trial(n: int, bound: int = TRIAL_BOUND) -> FactorResult:
     """Factor |n| by trial division by the primes up to ``bound``.
 
@@ -318,9 +337,10 @@ def factor_trial(n: int, bound: int = TRIAL_BOUND) -> FactorResult:
     double from [0, 2^7) to [2^13, 2^14), so that a small n builds no
     product of primes it never reaches.  One gcd of the remaining cofactor
     m with the product of a segment's primes (cached per segment) tells
-    whether any of them divides m; only then is the segment sieved again
-    and m divided by its primes, in ascending order, while p <= bound and
-    p^2 <= m.
+    whether any of them divides m.  Only then is the segment sieved again,
+    and only the primes that divide that gcd are taken, in ascending order,
+    while p <= bound and p^2 <= m, until the gcd is used up; each is divided
+    out whole by ``_multiplicity``.
 
     A remaining cofactor c with c <= bound^2 is certified prime: a composite
     c would have a prime factor p <= sqrt(c) <= bound, and every such p has
@@ -334,13 +354,17 @@ def factor_trial(n: int, bound: int = TRIAL_BOUND) -> FactorResult:
     lo = 0
     while lo <= bound and lo * lo <= m:
         hi = lo + min(max(lo, 1 << 7), _SEGMENT)
-        if math.gcd(m, _segment_product(lo, hi)) != 1:
+        g = math.gcd(m, _segment_product(lo, hi))
+        if g != 1:
             for p in _sieve(lo, hi):
+                if g % p:
+                    continue
                 if p > bound or p * p > m:
                     break
-                while m % p == 0:
-                    factors[p] = factors.get(p, 0) + 1
-                    m //= p
+                factors[p], m = _multiplicity(m, p)
+                g //= p
+                if g == 1:
+                    break
         lo = hi
     if m == 1:
         return FactorResult(n=n, factors=factors, complete=True)

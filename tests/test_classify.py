@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import pytest
 
 from permbinom import classify
@@ -277,7 +279,7 @@ class TestSweep:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(classify, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         capped = sweep(8, method="brute", jobs=10_000)
         assert seen == [len(prime_powers(8))] == [6]
         assert capped.verdicts == sweep(8, method="brute", jobs=1).verdicts

@@ -384,6 +384,16 @@ class TestContract:
                     and node.id == "MAX_DIGITS"}
         assert defining == {"cli"}
 
+    def test_import_loads_no_process_pool(self):
+        # Only sweep(jobs > 1) uses concurrent.futures, and with it
+        # multiprocessing, so a fresh import of the CLI loads neither.
+        code = ("import sys, permbinom.cli; "
+                "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])")
+        src = str(Path(permbinom.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert proc.stdout == "[]\n"
+
     def test_no_dataclasses(self):
         # Records are NamedTuples: a dataclass generates its methods with exec
         # at import, and importing dataclasses also loads inspect and ast.

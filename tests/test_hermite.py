@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from permbinom.classify import prime_powers
 from permbinom.ffield import FieldCtx, is_primitive_cube_root
 from permbinom.hermite import (
     BinomialMap,
@@ -190,6 +191,38 @@ class TestSqLogDomain:
         assert bool(cancelling) == ((p, e) not in NO_CANCELLATION)
         for a, alpha in cancelling:
             assert s_q(ctx, a, alpha) == s_q_oracle(ctx, a, alpha), (ctx.q, a, alpha)
+
+
+class TestHermiteKernel:
+    """hermite_pp_test sums through the kernel of s_q: each S_q once, in alpha
+    order, up to the first nonzero one, and none when a has a nonzero root."""
+
+    @pytest.mark.parametrize("q", [5, 8, 9, 11, 16])
+    def test_zech_reads_match_s_q_up_to_decision(self, fields, monkeypatch, q):
+        ctx = ctx_for_q(fields, q)
+        monkeypatch.setattr(ctx, "_zech", CountingLookups(ctx._zech))
+        zech = ctx._zech
+        for a in ctx.units():
+            zech.count = 0
+            expected = 0
+            if not has_nonzero_root(ctx, a):
+                for alpha in range(q):
+                    if s_q(ctx, a, alpha):
+                        break
+                expected = zech.count
+                zech.count = 0
+            hermite_pp_test(ctx, a)
+            assert zech.count == expected, (q, a)
+
+    def test_terms_only_at_alpha_2_mod_3(self):
+        # Every term has k = -i - jq, so 3k = -(alpha+1) mod q+1; when
+        # 3 | q+1 that leaves no term unless alpha = 2 mod 3.
+        qs = [q for q in prime_powers(128) if (q + 1) % 3 == 0]
+        assert len(qs) == 20
+        for q in qs:
+            p = min(d for d in range(2, q + 1) if q % d == 0)
+            assert all(not _s_q_terms(p, q, alpha) for alpha in range(q) if alpha % 3 != 2), q
+            assert any(_s_q_terms(p, q, alpha) for alpha in range(2, q, 3)) == (q > 2), q
 
 
 class TestIntervalCensus:

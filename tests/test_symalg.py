@@ -324,6 +324,22 @@ class TestFactorTrial:
         with pytest.raises(ValueError):
             factor_trial(0)
 
+    def test_multiplicities_in_the_thousands(self):
+        # Each multiplicity is taken by dividing by p, p^2, p^4, ... and back
+        # down; 3^3047 is the power of 3 in Res(g_26, g_29).
+        for factors in ({2: 200, 3: 3047, 16069: 1}, {3: 2047}, {3: 2048}, {2: 1, 131101: 1000},
+                        {5: 1, 7: 4095, 999983: 3}):
+            n = math.prod(p**k for p, k in factors.items())
+            for sign in (1, -1):
+                res = factor_trial(sign * n)
+                assert res.complete and list(res.factors.items()) == list(factors.items())
+                assert res.reassemble() == sign * n
+
+    def test_square_of_a_prime_near_the_bound(self):
+        for p in (999979, 999983):
+            assert factor_trial(p * p).factors == {p: 2}
+            assert factor_trial(2 * p * p).factors == {2: 1, p: 2}
+
 
 def trial_division_oracle(n, bound=10**6):
     """Reference for factor_trial: divide by 2 and then by every odd d while
