@@ -4,10 +4,13 @@ the binomial map x -> a*x + x^(3q-2) on F_{q^2}.
 Two independent permutation tests are provided; both stop once the answer
 is known:
 
-- ``brute_pp_test``: the ground truth.  Evaluates the map one point
-  x = g^k at a time in the log domain, one Zech lookup per point, and
-  returns at the first zero or the first collision in a bitset.  Its loop
-  reduces indices by conditional subtraction, with no ``%``.
+- ``brute_pp_test``: the ground truth, exhaustive over every point.  It
+  evaluates the first P = (q+1)/gcd(3, q+1) points x = g^k in the log
+  domain, one Zech lookup each and no ``%``, returning at a zero or a
+  repeated log.  Every later block of P points has the first block's image
+  logs shifted by a multiple of P, so it places the rest by doubling an
+  m-bit set of image logs (m = q^2 - 1, m/8 bytes), checking each new part
+  for a collision with the union so far.
 - ``hermite_pp_test``: the reduced power-sum criterion.  The map permutes
   F_{q^2} iff 0 is its only root and S_q(alpha, a) = 0 for all
   0 <= alpha <= q-1; only the exponents s = alpha + (q-1-alpha)q need
@@ -164,33 +167,65 @@ def has_nonzero_root(ctx: FieldCtx, a: int) -> bool:
 def brute_pp_test(ctx: FieldCtx, a: int) -> bool:
     """Ground truth: does the map hit all q^2 values?
 
-    The scan runs over x = g^k, k = 0, 1, ..., in the log domain: with
-    la = log a, f(x) = g^(la+k) * (1 + g^((3q-3)k - la)), so each point is
-    one Zech lookup at an index that steps by 3q - 3.  It returns at the
-    first zero (f(0) = 0 already) or the first repeated log.
+    Every nonzero x = g^k is placed in the log domain: with la = log a,
+    f(x) = g^(la+k) * (1 + g^z_k) for z_k = (3q-3)k - la, so log f(x) is
+    la + k + Zech(z_k), and f(x) = 0 where Zech(z_k) is undefined.  As
+    f(0) = 0, the map permutes F_{q^2} iff no nonzero x maps to 0 and the
+    m = q^2 - 1 image logs are distinct.  Both are checked for every point,
+    in two phases, with no permutation criterion:
 
-    The loop takes no ``%``: t = (la + k) mod m runs la, ..., m-1, 0, ...,
-    la-1, and every index stays below 2m (3q - 3 <= m = q^2 - 1 for q >= 2),
-    so one conditional subtraction reduces each.
+    1. The first period, literally.  For P = (q+1)/gcd(3, q+1), (3q-3)P =
+       3m/gcd(3, q+1) is a multiple of m, so z_k has period P (the first
+       step of Zieve's x*h(x^(q-1)) form, IJNT 2009).  The points k = 0, ...,
+       P-1 cost one Zech lookup each, with no ``%``: t = (la + k) mod m and
+       every index stays below 2m (3q - 3 <= m for q >= 2), so one
+       conditional subtraction reduces each.  The scan returns at a zero
+       (by periodicity, any nonzero root shows up here) or at a repeated
+       log.  Each log is one bit of an m-bit set, m/8 bytes.
+    2. Every other point, by doubling.  log f(g^(k+P)) = log f(g^k) + P, so
+       block j, the image logs of k = jP, ..., jP+P-1, is block 0 rotated
+       by jP mod m.  With U_n the union of blocks 0..n-1,
+       U_2n = U_n | rot(U_n, nP) and U_(n+1) = U_n | rot(U_1, nP), so
+       following the bits of m/P from U_1 builds U_(m/P), the image of every
+       point, in O(log q) rotations of one m-bit int.  Each rotated part
+       must be disjoint from the union it joins, or two points share an
+       image.
+
+    So a scan makes k+1 Zech lookups when its first repeat is at k < P,
+    and P otherwise, PPs included.
     """
     if a == 0:
         raise PreconditionViolated("a must be nonzero")
-    zech, m, la = ctx._zech, ctx.q2 - 1, ctx._log[a]
-    step, z = 3 * ctx.q - 3, -la % m
-    seen = bytearray(m)
-    for t in itertools.chain(range(la, m), range(la)):  # the log of a*x
+    q, zech, m, la = ctx.q, ctx._zech, ctx.q2 - 1, ctx._log[a]
+    period = (q + 1) // math.gcd(3, q + 1)
+    step, z, end = 3 * q - 3, -la % m, la + period
+    bits = bytearray(m + 7 >> 3)
+    for t in itertools.chain(range(la, min(end, m)), range(end - m)):  # the log of a*x
         s = zech[z]
         if s < 0:
             return False
         v = t + s
         if v >= m:
             v -= m
-        if seen[v]:
+        i = v >> 3
+        old = bits[i]
+        new = old | 1 << (v & 7)
+        if new == old:
             return False
-        seen[v] = 1
+        bits[i] = new
         z += step
         if z >= m:
             z -= m
+    block = union = int.from_bytes(bits, "little")
+    mask, n = (1 << m) - 1, 1  # union holds blocks 0..n-1
+    for bit in bin(m // period)[3:]:
+        for part, size in ((union, n), (block, 1)) if bit == "1" else ((union, n),):
+            r = n * period
+            moved = (part << r | part >> m - r) & mask
+            if union & moved:
+                return False
+            union |= moved
+            n += size
     return True
 
 

@@ -1,16 +1,18 @@
 """Slow reference computations that only the tests use: the encoding of a
 coefficient vector, addition and negation digit by digit, multiplication of
 coefficient polynomials modulo the field's modulus, the generator's powers
-by Horner's rule on its digits, the literal power sums of the binomial map,
-the Lemma 3.1 power-sum profile, the partition of the units by
-a^((q+1)/3), the copy of F_q inside F_{q^2}, S_q(alpha, a) with its terms
-rebuilt on every call and added by ``FieldCtx.add``, exact integer
-polynomial evaluation, the bracket polynomial and g_alpha in Fractions
-with a long division over Q, and the resultant by the fraction-free
-subresultant sequence with a pseudo-remainder and a division per
-coefficient.  Each is a direct computation, kept apart from the library so
-that it checks the library independently."""
+by Horner's rule on its digits, the point-by-point brute-force scan of the
+binomial map, its literal power sums, the Lemma 3.1 power-sum profile, the
+partition of the units by a^((q+1)/3), the copy of F_q inside F_{q^2},
+S_q(alpha, a) with its terms rebuilt on every call and added by
+``FieldCtx.add``, exact integer polynomial evaluation, the bracket
+polynomial and g_alpha in Fractions with a long division over Q, and the
+resultant by the fraction-free subresultant sequence with a
+pseudo-remainder and a division per coefficient.  Each is a direct
+computation, kept apart from the library so that it checks the library
+independently."""
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -247,6 +249,32 @@ def s_q_oracle(ctx: FieldCtx, a: int, alpha: int) -> int:
             if c:
                 total = ctx.add(total, ctx.mul(c, ctx.pow(a, -i - j * q)))
     return total
+
+
+def brute_scan_oracle(ctx: FieldCtx, a: int) -> bool:
+    """The point-by-point scan that ``hermite.brute_pp_test`` replaced by one
+    literal period and a doubled bitset: every x = g^k in turn, one Zech
+    lookup each, with a byte per image log, returning at the first zero or
+    repeated log."""
+    if a == 0:
+        raise PreconditionViolated("a must be nonzero")
+    zech, m, la = ctx._zech, ctx.q2 - 1, ctx._log[a]
+    step, z = 3 * ctx.q - 3, -la % m
+    seen = bytearray(m)
+    for t in itertools.chain(range(la, m), range(la)):  # the log of a*x
+        s = zech[z]
+        if s < 0:
+            return False
+        v = t + s
+        if v >= m:
+            v -= m
+        if seen[v]:
+            return False
+        seen[v] = 1
+        z += step
+        if z >= m:
+            z -= m
+    return True
 
 
 def power_sum(ctx: FieldCtx, a: int, s: int) -> int:

@@ -43,7 +43,7 @@ from printed_polynomials import (
 FIXTURES = {2: G2, 5: G5, 8: G8, 11: G11, 14: G14}
 FIELD_FOR_Q = {
     2: (2, 1), 5: (5, 1), 8: (2, 3), 11: (11, 1), 17: (17, 1),
-    23: (23, 1), 29: (29, 1), 32: (2, 5),
+    23: (23, 1), 29: (29, 1), 32: (2, 5), 128: (2, 7),
 }
 
 _ctx_cache = {}
@@ -256,18 +256,18 @@ def test_criterion_8_numeric_bridge():
 def test_criterion_9_full_scale_honesty():
     with checkpoint("criterion 9: scale boundary", 5):
         # The infinite family cannot be certified for arbitrary k by
-        # computation; the substitute is the property suite above plus an
-        # optional q = 128 brute run (permbinom verify --max-q 128), which
-        # stays out of the default test budget.  Here we pin the boundary:
-        # the cap admits 128 and refuses anything larger.
+        # computation; the substitute is the property suite above plus
+        # exhaustive sweeps up to the cap (permbinom verify --max-q 128).
+        # Here we pin the boundary: the cap admits 128 and refuses anything
+        # larger.
         assert BRUTE_HARD_CAP == 128
         with pytest.raises(SizeExceeded):
             sweep(129)
-        # spot-check the family at the largest default-scale member, q = 32
-        ctx = field_for(32)
-        sample = [a for a in range(1, 60) if is_primitive_cube_root(ctx, ctx.pow(a, 11))]
-        assert sample
-        for a in sample:
+        # the whole family at its largest member under the cap, q = 2^7
+        ctx = field_for(128)
+        members = [a for a in ctx.units() if is_primitive_cube_root(ctx, ctx.pow(a, 43))]
+        assert len(members) == 86
+        for a in members:
             assert brute_pp_test(ctx, a) and hermite_pp_test(ctx, a)
 
 

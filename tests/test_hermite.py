@@ -1,9 +1,10 @@
+import math
 import random
 
 import pytest
 
 from permbinom.classify import prime_powers
-from permbinom.ffield import FieldCtx, is_primitive_cube_root
+from permbinom.ffield import FieldCtx, is_primitive_cube_root, make_field
 from permbinom.hermite import (
     BinomialMap,
     PreconditionViolated,
@@ -16,14 +17,21 @@ from permbinom.hermite import (
 )
 
 from conftest import TABLE_FIELDS
-from oracles import lemma31_profile, oracle_add, oracle_mul, power_sum, s_q_oracle
+from oracles import (
+    brute_scan_oracle,
+    lemma31_profile,
+    oracle_add,
+    oracle_mul,
+    power_sum,
+    s_q_oracle,
+)
 
 PRIME_POWERS_13 = (2, 3, 4, 5, 7, 8, 9, 11, 13)
 PRIME_POWERS_32 = PRIME_POWERS_13 + (16, 17, 19, 23, 25, 27, 29, 31, 32)
 
 
 def ctx_for_q(fields, q):
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61):
         e = 0
         m = q
         while m % p == 0:
@@ -315,18 +323,42 @@ class TestBruteForce:
             image = {oracle_add(ctx, oracle_mul(ctx, a, x), xk) for x, xk in enumerate(powers)}
             assert brute_pp_test(ctx, a) == (len(image) == ctx.q2), (q, a)
 
+    def test_matches_scalar_scan(self, fields):
+        # The point-by-point scan the doubling replaced, over every a at every
+        # q <= 64, then a sample at 2^9, where a PP must cost only the first
+        # period's P = (q+1)/3 Zech lookups, not a scan of all q^2 - 1 points.
+        for q in prime_powers(64):
+            ctx = ctx_for_q(fields, q)
+            for a in ctx.units():
+                assert brute_pp_test(ctx, a) == brute_scan_oracle(ctx, a), (q, a)
+        ctx, q = make_field(2, 9), 512
+        members = [a for a in ctx.units() if is_primitive_cube_root(ctx, ctx.pow(a, (q + 1) // 3))]
+        rng = random.Random(9)
+        sample = members[:5] + [rng.randrange(1, ctx.q2) for _ in range(20)]
+        want = [brute_scan_oracle(ctx, a) for a in sample]
+        assert want[:5] == [True] * 5 and not all(want[5:])
+        ctx._zech = zech = CountingLookups(ctx._zech)
+        for a, pp in zip(sample, want):
+            zech.count = 0
+            assert brute_pp_test(ctx, a) == pp, a
+            assert zech.count <= (q + 1) // 3, a
+
     @pytest.mark.parametrize("p, e", [(2, 2), (2, 3), (5, 1), (3, 2), (2, 4), (7, 1)])
     def test_stops_at_first_collision(self, p, e):
-        # The scan makes one Zech lookup per point x = g^k, so counting the
-        # lookups counts the points evaluated.
+        # Only the first period, P = (q+1)/gcd(3, q+1) points, is scanned with
+        # one Zech lookup per point; it returns at a zero or a repeated log.
+        # Every later point is placed from that period by the bitset, so a
+        # scan that gets through the period makes P lookups, PPs included.
         ctx = FieldCtx(p, e)
+        period = (ctx.q + 1) // math.gcd(3, ctx.q + 1)
         first_repeat = {a: first_repeat_index(ctx, a) for a in ctx.units()}
         ctx._zech = zech = CountingLookups(ctx._zech)
         for a, k in first_repeat.items():
             zech.count = 0
             assert brute_pp_test(ctx, a) == (k is None)
-            assert zech.count == (ctx.q2 - 1 if k is None else k + 1), a
-        assert any(k is not None and k < ctx.q2 // 2 for k in first_repeat.values())
+            assert zech.count == (k + 1 if k is not None and k < period else period), a
+        assert any(k is not None and k < period for k in first_repeat.values())
+        assert any(k is not None and k >= period for k in first_repeat.values())
 
 
 class TestHermiteEquivalence:
