@@ -279,47 +279,28 @@ def classify(ctx: FieldCtx, a: int, method: str) -> PPVerdict:
     return PPVerdict(ctx.q, ctx.p, ctx.e, a, brute, herm, theorem_predicate(ctx, a))
 
 
-def _sweep_one_q(args: Tuple[int, str]) -> List[PPVerdict]:
-    q, method = args
-    ctx = make_field(*_factor_prime_power(q))
-    return [classify(ctx, a, method) for a in ctx.units()]
-
-
 BRUTE_HARD_CAP = 128
 DEFAULT_Q_MAX = 32
 
 
-def sweep(q_max: int = DEFAULT_Q_MAX, method: str = "both", jobs: int = 1) -> SweepResult:
+def sweep(q_max: int = DEFAULT_Q_MAX, method: str = "both") -> SweepResult:
     """Exhaustive comparison of the requested tests against the predicate
     for every prime power q <= q_max and every nonzero a in F_{q^2}.
 
     Includes q with 3 not dividing q+1 and q = 3^e, where no permutation is
-    expected.  Output order is canonical (ascending q, then a) regardless of
-    the worker count.
+    expected.  Output order is canonical: ascending q, then a.
     """
     if method not in ("brute", "hermite", "both"):
         raise ValueError(f"unknown method {method!r}")
     if q_max < 2:
         raise ValueError(f"q_max = {q_max} admits no prime power")
-    if jobs < 1:
-        raise ValueError(f"jobs = {jobs} must be at least 1")
     if q_max > BRUTE_HARD_CAP:
         raise SizeExceeded(f"q_max = {q_max} exceeds the hard cap {BRUTE_HARD_CAP}")
-    qs = prime_powers(q_max)
-    tasks = [(q, method) for q in qs]
-    if jobs > 1:
-        # Imported here: it loads multiprocessing, which no other path needs.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            per_q = list(pool.map(_sweep_one_q, tasks))
-    else:
-        per_q = [_sweep_one_q(t) for t in tasks]
     result = SweepResult(q_max, method, [], {}, [])
-    for verdicts in per_q:
+    for q in prime_powers(q_max):
+        ctx = make_field(*_factor_prime_power(q))
+        verdicts = [classify(ctx, a, method) for a in ctx.units()]
         result.verdicts.extend(verdicts)
-        if verdicts:
-            q = verdicts[0].q
-            result.pp_counts[q] = sum(1 for v in verdicts if v.predicted)
-            result.disagreements.extend(v for v in verdicts if not v.agree)
+        result.pp_counts[q] = sum(1 for v in verdicts if v.predicted)
+        result.disagreements.extend(v for v in verdicts if not v.agree)
     return result

@@ -106,8 +106,8 @@ def _factorization(fact: symalg.FactorResult) -> tuple:
 
 
 def cmd_verify(args):
-    max_q, jobs = _int("max_q", args.max_q), _int("jobs", args.jobs)
-    res = classify.sweep(q_max=max_q, method=args.method, jobs=jobs)
+    max_q = _int("max_q", args.max_q)
+    res = classify.sweep(q_max=max_q, method=args.method)
     lines = [
         f"swept {len(res.verdicts)} (q, a) pairs for prime powers q <= {max_q}",
         "pp counts per q: "
@@ -247,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("verify", cmd_verify, help="exhaustive sweep: brute/hermite vs predicate")
     sp.add_argument("--max-q", default=str(classify.DEFAULT_Q_MAX), dest="max_q")
     sp.add_argument("--method", choices=["brute", "hermite", "both"], default="both")
-    sp.add_argument("--jobs", default="1")
     sp.add_argument("--verdicts", action="store_true",
                     help="also stream one JSON line per (q, a)")
 

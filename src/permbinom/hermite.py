@@ -4,13 +4,15 @@ the binomial map x -> a*x + x^(3q-2) on F_{q^2}.
 Two independent permutation tests are provided; both stop once the answer
 is known:
 
-- ``brute_pp_test``: the ground truth, exhaustive over every point.  It
-  evaluates the first P = (q+1)/gcd(3, q+1) points x = g^k in the log
-  domain, one Zech lookup each and no ``%``, returning at a zero or a
-  repeated log.  Every later block of P points has the first block's image
-  logs shifted by a multiple of P, so it places the rest by doubling an
-  m-bit set of image logs (m = q^2 - 1, m/8 bytes), checking each new part
-  for a collision with the union so far.
+- ``brute_pp_test``: the ground truth, which accounts for every point
+  with no permutation criterion.  It evaluates the first
+  P = (q+1)/gcd(3, q+1) points x = g^k in the log domain, one Zech lookup
+  each and no reduction mod m = q^2 - 1, and returns at a zero or at an
+  image log that repeats an earlier one mod P.  Every later block of P
+  points has the first block's image logs shifted by a multiple of P, and
+  P divides m, so those shifts fill each log's coset mod P: distinct
+  residues mean distinct images everywhere.  A P-byte table holds the
+  residues seen.
 - ``hermite_pp_test``: the reduced power-sum criterion.  The map permutes
   F_{q^2} iff 0 is its only root and S_q(alpha, a) = 0 for all
   0 <= alpha <= q-1; only the exponents s = alpha + (q-1-alpha)q need
@@ -24,7 +26,6 @@ is known:
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from typing import Iterable, NamedTuple
 
@@ -171,61 +172,47 @@ def brute_pp_test(ctx: FieldCtx, a: int) -> bool:
     f(x) = g^(la+k) * (1 + g^z_k) for z_k = (3q-3)k - la, so log f(x) is
     la + k + Zech(z_k), and f(x) = 0 where Zech(z_k) is undefined.  As
     f(0) = 0, the map permutes F_{q^2} iff no nonzero x maps to 0 and the
-    m = q^2 - 1 image logs are distinct.  Both are checked for every point,
-    in two phases, with no permutation criterion:
+    m = q^2 - 1 image logs are distinct mod m.  Both are decided from the
+    first P = (q+1)/gcd(3, q+1) points, with no permutation criterion:
 
-    1. The first period, literally.  For P = (q+1)/gcd(3, q+1), (3q-3)P =
-       3m/gcd(3, q+1) is a multiple of m, so z_k has period P (the first
-       step of Zieve's x*h(x^(q-1)) form, IJNT 2009).  The points k = 0, ...,
-       P-1 cost one Zech lookup each, with no ``%``: t = (la + k) mod m and
-       every index stays below 2m (3q - 3 <= m for q >= 2), so one
-       conditional subtraction reduces each.  The scan returns at a zero
-       (by periodicity, any nonzero root shows up here) or at a repeated
-       log.  Each log is one bit of an m-bit set, m/8 bytes.
-    2. Every other point, by doubling.  log f(g^(k+P)) = log f(g^k) + P, so
-       block j, the image logs of k = jP, ..., jP+P-1, is block 0 rotated
-       by jP mod m.  With U_n the union of blocks 0..n-1,
-       U_2n = U_n | rot(U_n, nP) and U_(n+1) = U_n | rot(U_1, nP), so
-       following the bits of m/P from U_1 builds U_(m/P), the image of every
-       point, in O(log q) rotations of one m-bit int.  Each rotated part
-       must be disjoint from the union it joins, or two points share an
-       image.
+    1. Period.  (3q-3)P = 3m/gcd(3, q+1) is a multiple of m, so z_k has
+       period P (the first step of Zieve's x*h(x^(q-1)) form, IJNT 2009):
+       f(g^(k+P)) = 0 iff f(g^k) = 0, and log f(g^(k+P)) = log f(g^k) + P
+       mod m.  So any nonzero root shows up among k = 0, ..., P-1, and
+       block j, the image logs of k = jP, ..., jP+P-1, is block 0 shifted
+       by jP mod m.
+    2. Cosets.  P divides q+1, which divides m, so the shifts jP of one log
+       v, j = 0, ..., m/P - 1, are exactly its coset v + PZ mod m, m/P
+       logs.  Two cosets are equal or disjoint.  If the P first-period logs
+       are distinct mod P, their cosets are disjoint and hold P * m/P = m
+       distinct logs.  If two share a residue, v' = v + jP mod m for some
+       j, and v' is also the log of f(g^(k+jP)): two points share an image.
 
-    So a scan makes k+1 Zech lookups when its first repeat is at k < P,
-    and P otherwise, PPs included.
+    So the map is a PP iff the first period has no zero and its P image
+    logs are distinct mod P.  The scan makes one Zech lookup per point and
+    no reduction mod m: z_k steps by 3q - 3 <= m with one conditional
+    subtraction, and as P | m the residue of la + k + Zech(z_k) mod P is
+    taken without reducing mod m first.  A bytearray of P flags holds the
+    residues seen.  The scan returns at a zero or a repeated residue, so it
+    makes k+1 lookups when that happens at point k, and P for a PP.
     """
     if a == 0:
         raise PreconditionViolated("a must be nonzero")
     q, zech, m, la = ctx.q, ctx._zech, ctx.q2 - 1, ctx._log[a]
     period = (q + 1) // math.gcd(3, q + 1)
-    step, z, end = 3 * q - 3, -la % m, la + period
-    bits = bytearray(m + 7 >> 3)
-    for t in itertools.chain(range(la, min(end, m)), range(end - m)):  # the log of a*x
+    step, z = 3 * q - 3, -la % m
+    seen = bytearray(period)
+    for t in range(la, la + period):  # the log of a*x, unreduced
         s = zech[z]
         if s < 0:
             return False
-        v = t + s
-        if v >= m:
-            v -= m
-        i = v >> 3
-        old = bits[i]
-        new = old | 1 << (v & 7)
-        if new == old:
+        r = (t + s) % period
+        if seen[r]:
             return False
-        bits[i] = new
+        seen[r] = 1
         z += step
         if z >= m:
             z -= m
-    block = union = int.from_bytes(bits, "little")
-    mask, n = (1 << m) - 1, 1  # union holds blocks 0..n-1
-    for bit in bin(m // period)[3:]:
-        for part, size in ((union, n), (block, 1)) if bit == "1" else ((union, n),):
-            r = n * period
-            moved = (part << r | part >> m - r) & mask
-            if union & moved:
-                return False
-            union |= moved
-            n += size
     return True
 
 

@@ -252,8 +252,8 @@ def s_q_oracle(ctx: FieldCtx, a: int, alpha: int) -> int:
 
 
 def brute_scan_oracle(ctx: FieldCtx, a: int) -> bool:
-    """The point-by-point scan that ``hermite.brute_pp_test`` replaced by one
-    literal period and a doubled bitset: every x = g^k in turn, one Zech
+    """The point-by-point scan that ``hermite.brute_pp_test`` replaced by a
+    scan of one period for residues mod P: every x = g^k in turn, one Zech
     lookup each, with a byte per image log, returning at the first zero or
     repeated log."""
     if a == 0:
@@ -275,6 +275,18 @@ def brute_scan_oracle(ctx: FieldCtx, a: int) -> bool:
         if z >= m:
             z -= m
     return True
+
+
+def image_logs(ctx: FieldCtx, a: int) -> List:
+    """log f(g^k) for k = 0, ..., q^2 - 2, with None where f(g^k) = 0: the
+    scan of ``brute_scan_oracle`` over every point, with no early return."""
+    zech, m, la = ctx._zech, ctx.q2 - 1, ctx._log[a]
+    step = 3 * ctx.q - 3
+    logs = []
+    for k in range(m):
+        s = zech[(step * k - la) % m]
+        logs.append(None if s < 0 else (la + k + s) % m)
+    return logs
 
 
 def power_sum(ctx: FieldCtx, a: int, s: int) -> int:

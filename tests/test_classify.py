@@ -1,5 +1,3 @@
-import concurrent.futures
-
 import pytest
 
 from permbinom import classify
@@ -255,34 +253,6 @@ class TestSweep:
     def test_no_prime_power_below_bound(self, q_max):
         with pytest.raises(ValueError, match="no prime power"):
             sweep(q_max)
-
-    def test_jobs_give_same_answer(self):
-        a = sweep(7, method="both", jobs=1)
-        b = sweep(7, method="both", jobs=2)
-        assert a.verdicts == b.verdicts
-
-    def test_workers_capped_at_task_count(self, monkeypatch):
-        # A stand-in pool records max_workers and maps in this process, so a
-        # large --jobs value is checked without starting any worker.
-        seen = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                seen.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-        capped = sweep(8, method="brute", jobs=10_000)
-        assert seen == [len(prime_powers(8))] == [6]
-        assert capped.verdicts == sweep(8, method="brute", jobs=1).verdicts
 
     def test_prime_powers(self):
         assert prime_powers(32) == [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19,

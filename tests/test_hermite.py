@@ -19,6 +19,7 @@ from permbinom.hermite import (
 from conftest import TABLE_FIELDS
 from oracles import (
     brute_scan_oracle,
+    image_logs,
     lemma31_profile,
     oracle_add,
     oracle_mul,
@@ -263,17 +264,30 @@ class TestIntervalCensus:
                     assert c.count == 3
 
 
-def first_repeat_index(ctx, a):
-    """The first k whose image f(g^k) is 0 or repeats an earlier image, or
-    None; f is evaluated with the digit-by-digit add."""
+def first_repeats(ctx, a):
+    """The first k at which f(g^k) is 0 or repeats an earlier image, and the
+    first k < P at which f(g^k) is 0 or its log repeats an earlier one mod
+    P = (q+1)/gcd(3, q+1); None where there is none.  f is evaluated with
+    the digit-by-digit add, and its logs are read off the powers of g."""
+    q, m = ctx.q, ctx.q2 - 1
+    period = (q + 1) // math.gcd(3, q + 1)
+    powers = [ctx.pow(ctx.generator, k) for k in range(m)]
+    log = {x: k for k, x in enumerate(powers)}
+    images = [oracle_add(ctx, ctx.mul(a, x), ctx.pow(x, 3 * q - 2)) for x in powers]
+    literal = residue = None
     seen = {0}
-    for k in range(ctx.q2 - 1):
-        x = ctx.pow(ctx.generator, k)
-        fx = oracle_add(ctx, ctx.mul(a, x), ctx.pow(x, 3 * ctx.q - 2))
+    for k, fx in enumerate(images):
         if fx in seen:
-            return k
+            literal = k
+            break
         seen.add(fx)
-    return None
+    seen = set()
+    for k, fx in enumerate(images[:period]):
+        if fx == 0 or log[fx] % period in seen:
+            residue = k
+            break
+        seen.add(log[fx] % period)
+    return literal, residue
 
 
 def oracle_pow(ctx, x, k):
@@ -324,9 +338,9 @@ class TestBruteForce:
             assert brute_pp_test(ctx, a) == (len(image) == ctx.q2), (q, a)
 
     def test_matches_scalar_scan(self, fields):
-        # The point-by-point scan the doubling replaced, over every a at every
-        # q <= 64, then a sample at 2^9, where a PP must cost only the first
-        # period's P = (q+1)/3 Zech lookups, not a scan of all q^2 - 1 points.
+        # The point-by-point scan the residue scan replaced, over every a at
+        # every q <= 64, then a sample at 2^9, where a PP must cost only the
+        # first period's P = (q+1)/3 Zech lookups, not one per point.
         for q in prime_powers(64):
             ctx = ctx_for_q(fields, q)
             for a in ctx.units():
@@ -345,20 +359,43 @@ class TestBruteForce:
 
     @pytest.mark.parametrize("p, e", [(2, 2), (2, 3), (5, 1), (3, 2), (2, 4), (7, 1)])
     def test_stops_at_first_collision(self, p, e):
-        # Only the first period, P = (q+1)/gcd(3, q+1) points, is scanned with
-        # one Zech lookup per point; it returns at a zero or a repeated log.
-        # Every later point is placed from that period by the bitset, so a
-        # scan that gets through the period makes P lookups, PPs included.
+        # Only the first period, P = (q+1)/gcd(3, q+1) points, is scanned, one
+        # Zech lookup each; the scan returns at a zero or at a log that repeats
+        # an earlier one mod P.  So a non-PP costs k*+1 lookups, for k* the
+        # first such point, and a PP costs P.
         ctx = FieldCtx(p, e)
         period = (ctx.q + 1) // math.gcd(3, ctx.q + 1)
-        first_repeat = {a: first_repeat_index(ctx, a) for a in ctx.units()}
+        repeats = {a: first_repeats(ctx, a) for a in ctx.units()}
         ctx._zech = zech = CountingLookups(ctx._zech)
-        for a, k in first_repeat.items():
+        lookups = {}
+        for a, (literal, residue) in repeats.items():
             zech.count = 0
-            assert brute_pp_test(ctx, a) == (k is None)
-            assert zech.count == (k + 1 if k is not None and k < period else period), a
-        assert any(k is not None and k < period for k in first_repeat.values())
-        assert any(k is not None and k >= period for k in first_repeat.values())
+            assert brute_pp_test(ctx, a) == (literal is None) == (residue is None)
+            lookups[a] = zech.count
+            assert zech.count == (period if residue is None else residue + 1), a
+        assert any(literal is not None and literal < period for literal, _ in repeats.values())
+        # Points that repeat an image only after the first period are still
+        # refused inside it, by their residues.
+        late = [a for a, (literal, _) in repeats.items()
+                if literal is not None and literal >= period]
+        assert late and all(lookups[a] <= period for a in late)
+
+    def test_residue_lemma(self, fields):
+        # The lemma brute_pp_test rests on, apart from its verdict: the first
+        # period has a zero iff some point maps to 0, and otherwise the logs
+        # of all q^2 - 1 images are the cosets mod P of the first P logs.
+        for q in prime_powers(32):
+            ctx = ctx_for_q(fields, q)
+            m, period = ctx.q2 - 1, (q + 1) // math.gcd(3, q + 1)
+            for a in ctx.units():
+                logs = image_logs(ctx, a)
+                first = logs[:period]
+                assert (None in first) == (None in logs), (q, a)
+                if None in first:
+                    continue
+                cosets = {(v + j * period) % m for v in first for j in range(m // period)}
+                assert set(logs) == cosets, (q, a)
+                assert (len(cosets) == m) == (len({v % period for v in first}) == period)
 
 
 class TestHermiteEquivalence:
