@@ -236,6 +236,13 @@ class TestBadInputExitCodes:
         self.assert_usage_error(capsys, "resultant", "--left", "2", "--right", "2", "--factor",
                                 says="Res(g_2, g_2) = 0")
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_verify_jobs_below_one(self, capsys, jobs):
+        # A worker count below one is still refused with a usage error, now
+        # because verify has no --jobs option at all.
+        self.assert_usage_error(capsys, "verify", "--max-q", "8", "--jobs", jobs,
+                                says=f"unrecognized arguments: --jobs {jobs}")
+
     def test_verify_has_no_jobs_option(self, capsys):
         # verify runs in one process, so it has no worker count to take; a
         # long value is echoed cut, in the one error line.
