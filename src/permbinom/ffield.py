@@ -77,15 +77,14 @@ def _sub_x(f: FpPoly, p: int) -> FpPoly:
 def is_irreducible(m: FpPoly, p: int) -> bool:
     """Rabin irreducibility test for a monic polynomial over F_p: m divides
     x^(p^n) - x, and x^(p^(n/r)) - x is prime to m for each prime r | n."""
+    return len(m) > 1 and _rabin(m, p, prime_factors(len(m) - 1))
+
+
+def _rabin(m: FpPoly, p: int, primes: List[int]) -> bool:
+    """``is_irreducible`` given the distinct primes r dividing n = deg m."""
     n = len(m) - 1
-    if n < 1:
-        return False
-    if fp_mod(_sub_x(fp_powmod([0, 1], p**n, m, p), p), m, p):
-        return False
-    for r in prime_factors(n):
-        if len(fp_gcd(_sub_x(fp_powmod([0, 1], p**(n // r), m, p), p), m, p)) != 1:
-            return False
-    return True
+    return n > 0 and not fp_mod(_sub_x(fp_powmod([0, 1], p**n, m, p), p), m, p) and all(
+        len(fp_gcd(_sub_x(fp_powmod([0, 1], p**(n // r), m, p), p), m, p)) == 1 for r in primes)
 
 
 def _digits(a: int, p: int, n: int) -> List[int]:
@@ -105,9 +104,10 @@ def canonical_modulus(p: int, n: int) -> List[int]:
     n >= 2, a candidate with a root at 0 (m[0] = 0) or at 1 (sum(m) = 0
     mod p) has a linear factor, and is skipped before Rabin's test.
     """
+    primes = prime_factors(n) if n > 0 else []  # n is fixed: factor it once
     for c in range(p**n):
         m = _digits(c, p, n) + [1]
-        if (n == 1 or m[0] and sum(m) % p) and is_irreducible(m, p):
+        if (n == 1 or m[0] and sum(m) % p) and _rabin(m, p, primes):
             return m
     raise ValueError(f"no irreducible monic polynomial of degree {n} over F_{p}")
 

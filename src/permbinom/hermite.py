@@ -19,14 +19,16 @@ is known:
   checking because all other power sums vanish identically.  The root
   condition is the closed form of ``has_nonzero_root``, one product of
   log a, and each S_q is summed in the log domain by the one kernel that
-  ``s_q`` also uses, one Zech lookup per term of its cached term list;
-  a sum with no terms is skipped.
+  ``s_q`` also uses, one Zech lookup per term.  Term lists come from the
+  base-p digits of alpha (Lucas), and only the nonempty ones are walked.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+from bisect import bisect_left
 from typing import Iterable, NamedTuple
 
 from permbinom.ffield import DEFAULT_SIZE_BOUND, FieldCtx, lucas_binom
@@ -97,25 +99,45 @@ def interval_census(q: int, alpha: int) -> IntervalCensus:
 def _s_q_terms(p: int, q: int, alpha: int) -> tuple:
     """The nonzero terms (c, k) of S_q(alpha, a) = sum of c * a^k, with
     c = C(alpha, i) * C(q-1-alpha, j) mod p (Lucas) and k = -i - j*q mod
-    q^2 - 1.  Only the <= 3 admissible differences d = i - j are iterated.
-    Keyed on ints, so the cache keeps no field's tables alive.  It holds
-    every alpha of the largest accepted q, sqrt(DEFAULT_SIZE_BOUND) = 2^12.
-    """
-    order = q * q - 1
+    q^2 - 1.  Only the <= 3 admissible differences d = i - j are iterated,
+    each over the i in [d, q-1-alpha+d] whose base-p digits are all at most
+    alpha's, as C(alpha, i) = 0 mod p for any other i.  Once alpha is
+    validated, those i are listed in ascending order digit by digit, and
+    each interval is cut out by bisection; for alpha < p (every alpha when
+    q = p) all i <= alpha qualify and no list is made.  Keyed on ints, so
+    the cache keeps no field's tables alive; it holds every alpha of the
+    largest accepted q, 2^12."""
+    multiples = interval_census(q, alpha).multiples
+    order, comp = q * q - 1, q - 1 - alpha
+    cands, pk = None, p  # None while every i <= alpha qualifies
+    while pk <= alpha:  # prefix each listed i with every digit <= alpha's
+        low = cands or range(alpha % p + 1)
+        cands = [t + i for t in range(0, (alpha // pk % p + 1) * pk, pk) for i in low]
+        pk *= p
     terms = []
-    for l in interval_census(q, alpha).multiples:
+    for l in multiples:
         num = alpha + 1 + l * (q + 1)
         if num % 3:
             continue  # no (i, j) pair can satisfy the congruence
         d = num // 3
-        i_lo = max(0, d)
-        i_hi = min(alpha, q - 1 - alpha + d)
-        for i in range(i_lo, i_hi + 1):
+        lo, hi = max(0, d), min(alpha, comp + d) + 1
+        for i in cands[bisect_left(cands, lo):bisect_left(cands, hi)] if cands else range(lo, hi):
             j = i - d
-            c = lucas_binom(p, alpha, i) * lucas_binom(p, q - 1 - alpha, j) % p
+            c = lucas_binom(p, alpha, i) * lucas_binom(p, comp, j) % p
             if c:
                 terms.append((c, (-i - j * q) % order))
     return tuple(terms)
+
+
+@functools.lru_cache(maxsize=1)
+def _nonempty_terms(p: int, q: int) -> tuple:
+    """The nonempty ``_s_q_terms`` lists of (p, q) in alpha order: the list
+    built so far and a generator that builds, appends and yields the next,
+    read as chain(built, more) only as far as a caller needs, by one thread
+    at a time.  Keyed on ints; one field's walk, <= 2^12 lists, is kept."""
+    built: list = []
+    lists = (_s_q_terms(p, q, alpha) for alpha in range(q))
+    return built, (built.append(terms) or terms for terms in lists if terms)
 
 
 def _log_sum(terms: tuple, la: int, log, zech, m: int) -> int:
@@ -223,20 +245,23 @@ def hermite_pp_test(ctx: FieldCtx, a: int) -> bool:
     for every q.  No case is assumed impossible a priori: for 3 not dividing
     q+1 the sums are still computed whenever 0 is the only root, so the
     divisibility necessity is observed, not hard-coded.  The sums run in
-    alpha order through ``_log_sum``, with the tables bound once; an empty
-    term list is skipped, term lists are built only as far as the first
-    nonzero sum, and that sum decides.
+    alpha order through ``_log_sum``, with the tables bound once, over the
+    nonempty term lists of ``_nonempty_terms`` alone.  Those are built only
+    as far as the first nonzero sum, and that sum decides.
     """
     if a == 0:
         raise PreconditionViolated("a must be nonzero")
     if has_nonzero_root(ctx, a):
         return False
-    log, zech, m, p, q = ctx._log, ctx._zech, ctx.q2 - 1, ctx.p, ctx.q
+    log, zech, m = ctx._log, ctx._zech, ctx.q2 - 1
     la = log[a]
-    for alpha in range(q):
-        terms = _s_q_terms(p, q, alpha)
-        if terms and _log_sum(terms, la, log, zech, m) >= 0:
-            return False
+    try:
+        for terms in itertools.chain(*_nonempty_terms(ctx.p, ctx.q)):
+            if _log_sum(terms, la, log, zech, m) >= 0:
+                return False
+    except BaseException:  # a walk cut inside its generator cannot resume
+        _nonempty_terms.cache_clear()
+        raise
     return True
 
 

@@ -228,14 +228,12 @@ def oracle_resultant(f: Sequence[int], g: Sequence[int]) -> int:
     return sign * b[0] ** da // h ** (da - 1)
 
 
-def s_q_oracle(ctx: FieldCtx, a: int, alpha: int) -> int:
-    """S_q(alpha, a) with the census and Lucas binomials recomputed on every
-    call: the per-call loop that ``hermite.s_q`` replaced by a cached term
-    list."""
-    if a == 0:
-        raise PreconditionViolated("a must be nonzero")
-    p, q = ctx.p, ctx.q
-    total = 0
+def s_q_terms_oracle(p: int, q: int, alpha: int) -> tuple:
+    """The term list (c, k) of S_q(alpha, a) by the range scan that
+    ``hermite._s_q_terms`` replaced: every i in each admissible interval is
+    tried, with two ``lucas_binom`` calls each."""
+    order = q * q - 1
+    terms = []
     for l in interval_census(q, alpha).multiples:
         num = alpha + 1 + l * (q + 1)
         if num % 3:
@@ -247,7 +245,19 @@ def s_q_oracle(ctx: FieldCtx, a: int, alpha: int) -> int:
             j = i - d
             c = lucas_binom(p, alpha, i) * lucas_binom(p, q - 1 - alpha, j) % p
             if c:
-                total = ctx.add(total, ctx.mul(c, ctx.pow(a, -i - j * q)))
+                terms.append((c, (-i - j * q) % order))
+    return tuple(terms)
+
+
+def s_q_oracle(ctx: FieldCtx, a: int, alpha: int) -> int:
+    """S_q(alpha, a) with the terms of ``s_q_terms_oracle`` rebuilt on every
+    call and added one at a time by ``FieldCtx.add``: the per-call loop that
+    ``hermite.s_q`` replaced by a cached term list summed as logs."""
+    if a == 0:
+        raise PreconditionViolated("a must be nonzero")
+    total = 0
+    for c, k in s_q_terms_oracle(ctx.p, ctx.q, alpha):
+        total = ctx.add(total, ctx.mul(c, ctx.pow(a, k)))
     return total
 
 

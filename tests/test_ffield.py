@@ -18,6 +18,7 @@ from permbinom.ffield import (
     lucas_binom,
     make_field,
 )
+from permbinom.symalg import prime_factors
 
 from conftest import BENCH_FIELDS, FIELDS_16, FIELDS_32, TABLE_FIELDS
 from oracles import (from_coeffs, oracle_add, oracle_generator_powers, oracle_mul,
@@ -70,6 +71,20 @@ class TestConstruction:
                                      for n in range(1, 15) if p**n <= 2**14])
     def test_screened_search_matches_enumeration_oracle(self, p, n):
         assert canonical_modulus(p, n) == first_irreducible_by_enumeration(p, n)
+
+    @pytest.mark.parametrize("p, n", [(2, 14), (5, 6), (3, 2)])
+    def test_search_factors_degree_once(self, monkeypatch, p, n):
+        # (2, 14) runs Rabin's test on 9 candidates and (5, 6) on 5.
+        calls = []
+        monkeypatch.setattr(ffield, "prime_factors",
+                            lambda m: calls.append(m) or prime_factors(m))
+        assert canonical_modulus(p, n) == first_irreducible_by_enumeration(p, n)
+        assert calls == [n]
+
+    def test_no_irreducible_of_degree_zero(self):
+        with pytest.raises(ValueError, match="no irreducible monic polynomial of degree 0"):
+            canonical_modulus(3, 0)
+        assert not is_irreducible([1], 3) and not is_irreducible([], 3)
 
     def test_reproducible(self):
         a, b = make_field(11, 1), make_field(11, 1)

@@ -1,10 +1,16 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import permbinom
+from permbinom import hermite
 from permbinom.classify import prime_powers
-from permbinom.ffield import FieldCtx, is_primitive_cube_root, make_field
+from permbinom.ffield import FieldCtx, is_primitive_cube_root, lucas_binom, make_field
 from permbinom.hermite import (
     BinomialMap,
     PreconditionViolated,
@@ -25,6 +31,7 @@ from oracles import (
     oracle_mul,
     power_sum,
     s_q_oracle,
+    s_q_terms_oracle,
 )
 
 PRIME_POWERS_13 = (2, 3, 4, 5, 7, 8, 9, 11, 13)
@@ -166,6 +173,111 @@ class TestSqTermCache:
         for alpha in (-1, ctx.q, ctx.q + 3):
             with pytest.raises(PreconditionViolated):
                 s_q(ctx, 1, alpha)
+
+    @pytest.mark.parametrize("p, q, alpha", [(5, 5, -1), (5, 5, 5), (2, 8, -1), (5, 25, 25)])
+    def test_terms_reject_alpha_out_of_range(self, p, q, alpha):
+        # alpha is validated before its digits are read: -1 // p is -1.
+        with pytest.raises(PreconditionViolated):
+            _s_q_terms(p, q, alpha)
+
+
+def smallest_prime_factor(q):
+    return min(d for d in range(2, q + 1) if q % d == 0)
+
+
+class TestSqTermsFromLucasDigits:
+    """_s_q_terms tries only the i whose base-p digits lie at or below alpha's;
+    its lists must equal the range scan's, tuple for tuple."""
+
+    @pytest.mark.parametrize("q", prime_powers(128) + [2**9, 3**5])
+    def test_matches_range_scan(self, q):
+        p = smallest_prime_factor(q)
+        for alpha in range(q):
+            assert _s_q_terms.__wrapped__(p, q, alpha) == s_q_terms_oracle(p, q, alpha), (q, alpha)
+
+    @pytest.mark.parametrize("p, e, most", [(2, 7, 1392), (5, 3, 2238)])
+    def test_lucas_binom_calls(self, monkeypatch, p, e, most):
+        # The range scan makes 5,544 calls at 2^7 and 5,288 at 5^3.
+        calls = []
+        monkeypatch.setattr(hermite, "lucas_binom",
+                            lambda *args: calls.append(args) or lucas_binom(*args))
+        q = p**e
+        for alpha in range(q):
+            _s_q_terms.__wrapped__(p, q, alpha)
+        assert 0 < len(calls) <= most
+
+
+def cube_class(ctx):
+    """The a whose a^((q+1)/3) is a primitive cube root of unity."""
+    k = (ctx.q + 1) // 3
+    return [a for a in ctx.units() if is_primitive_cube_root(ctx, ctx.pow(a, k))]
+
+
+@pytest.fixture
+def cold_walk():
+    """Empties the walk cache before and after the test."""
+    hermite._nonempty_terms.cache_clear()
+    yield
+    hermite._nonempty_terms.cache_clear()
+
+
+class TestLazyWalk:
+    """hermite_pp_test reads the nonempty term lists of (p, q) from one lazily
+    extended sequence: it builds lists only as far as a caller has read."""
+
+    def test_cube_class_builds_only_up_to_first_nonzero_sum(self, fields, monkeypatch, cold_walk):
+        ctx = fields(5, 3)
+        first, second = cube_class(ctx)[:2]
+        # Every sum below alpha = (q-1)/2 = 62 vanishes, and S_q(62, a) does not.
+        assert [s_q(ctx, first, alpha) != 0 for alpha in range(63)] == [False] * 62 + [True]
+        built = []
+        real = hermite._s_q_terms
+        monkeypatch.setattr(hermite, "_s_q_terms",
+                            lambda p, q, alpha: built.append((p, q, alpha)) or real(p, q, alpha))
+        assert not hermite_pp_test(ctx, first)
+        assert built == [(5, 125, alpha) for alpha in range(63)]
+        built.clear()
+        assert not hermite_pp_test(ctx, second)
+        assert built == []
+
+    def test_alternating_fields_match_fresh_processes(self, fields, cold_walk):
+        ctxs = [fields(2, 5), fields(5, 2)]
+        code = ("import sys\nfrom permbinom.ffield import make_field\n"
+                "from permbinom.hermite import hermite_pp_test\n"
+                "ctx = make_field(int(sys.argv[1]), int(sys.argv[2]))\n"
+                "print(''.join('1' if hermite_pp_test(ctx, a) else '0' for a in ctx.units()))")
+        path = [str(Path(permbinom.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        fresh = [subprocess.run([sys.executable, "-c", code, str(ctx.p), str(ctx.e)],
+                                capture_output=True, text=True, env=env, check=True).stdout.strip()
+                 for ctx in ctxs]
+        verdicts = [[], []]
+        for a in range(1, max(ctx.q2 for ctx in ctxs)):
+            for ctx, out in zip(ctxs, verdicts):
+                if a < ctx.q2:
+                    out.append("1" if hermite_pp_test(ctx, a) else "0")
+        assert ["".join(v) for v in verdicts] == fresh
+        assert "1" in fresh[0]  # the 2^5 family; 5^2 has no PP
+
+    def test_walk_cut_by_an_exception_is_rebuilt(self, fields, monkeypatch, cold_walk):
+        # An exception out of the walk's generator ends it for good; left in
+        # the cache, it would end every later walk at alpha = 30, and the
+        # cube class of 5^3, first decided at alpha = 62, would read as PPs.
+        ctx = fields(5, 3)
+        members = cube_class(ctx)
+        real = hermite._s_q_terms
+
+        def interrupted(p, q, alpha):
+            if alpha == 30:
+                raise KeyboardInterrupt
+            return real(p, q, alpha)
+
+        monkeypatch.setattr(hermite, "_s_q_terms", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            hermite_pp_test(ctx, members[0])
+        monkeypatch.setattr(hermite, "_s_q_terms", real)
+        assert not any(hermite_pp_test(ctx, a) for a in members)
+        assert not any(brute_pp_test(ctx, a) for a in members)
 
 
 # The fields of TABLE_FIELDS in which no S_q(alpha, a) has a proper prefix of
@@ -346,7 +458,7 @@ class TestBruteForce:
             for a in ctx.units():
                 assert brute_pp_test(ctx, a) == brute_scan_oracle(ctx, a), (q, a)
         ctx, q = make_field(2, 9), 512
-        members = [a for a in ctx.units() if is_primitive_cube_root(ctx, ctx.pow(a, (q + 1) // 3))]
+        members = cube_class(ctx)
         rng = random.Random(9)
         sample = members[:5] + [rng.randrange(1, ctx.q2) for _ in range(20)]
         want = [brute_scan_oracle(ctx, a) for a in sample]
