@@ -10,17 +10,20 @@ Run:  python3 demos/single_pair_anatomy.py [p^e] [a]
 import sys
 
 from permbinom.classify import theorem_predicate
-from permbinom.ffield import make_field
+from permbinom.cli import EXIT_USAGE, _field_and_element
 from permbinom.hermite import BinomialMap, brute_pp_test, hermite_pp_test, s_q
 
-p_text, _, e_text = (sys.argv[1] if len(sys.argv) > 1 else "2^3").partition("^")
-p, e = int(p_text), int(e_text or 1)
-ctx = make_field(p, e)
-a = int(sys.argv[2]) if len(sys.argv) > 2 else 3
+spec = sys.argv[1] if len(sys.argv) > 1 else "2^3"
+a_text = sys.argv[2] if len(sys.argv) > 2 else "3"
+try:  # read as `permbinom check --q p^e --a a` reads them
+    ctx, a = _field_and_element(spec, a_text)
+except ValueError as exc:
+    print(f"error: {exc}", file=sys.stderr)
+    sys.exit(EXIT_USAGE)
 q = ctx.q
 
 f = BinomialMap(ctx, a)
-print(f"field F_{ctx.q2} = F_{p}^{2 * e}, modulus {list(ctx.modulus)}")
+print(f"field F_{ctx.q2} = F_{ctx.p}^{ctx.n}, modulus {list(ctx.modulus)}")
 print(f"map: f(x) = {a}*x + x^{f.exponent}")
 print()
 

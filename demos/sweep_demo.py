@@ -9,13 +9,18 @@ classification names.
 Run:  python3 demos/sweep_demo.py [q_max]
 """
 
+import json
 import sys
 
 from permbinom.classify import sweep
+from permbinom.cli import EXIT_USAGE, _int, _verdict
 
-q_max = int(sys.argv[1]) if len(sys.argv) > 1 else 13
-
-result = sweep(q_max, method="both")
+try:  # read and checked as `permbinom verify --max-q` reads it
+    q_max = _int("q_max", sys.argv[1]) if len(sys.argv) > 1 else 13
+    result = sweep(q_max, method="both")
+except ValueError as exc:
+    print(f"error: {exc}", file=sys.stderr)
+    sys.exit(EXIT_USAGE)
 
 print(f"prime powers swept: q <= {q_max}")
 print(f"(q, a) pairs tested: {len(result.verdicts)}")
@@ -29,7 +34,7 @@ print()
 if result.disagreements:
     print(f"!! {len(result.disagreements)} disagreements:")
     for v in result.disagreements:
-        print("  ", v.to_json())
+        print("  ", json.dumps(_verdict(v), sort_keys=True))
     sys.exit(1)
 print("brute force, the power-sum criterion and the classification "
       "predicate agree on every pair.")

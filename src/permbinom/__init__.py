@@ -7,14 +7,14 @@ it; import names from the modules:
                 (``factor_trial``, ``prime_factors``, ``is_prime``), the
                 bracket polynomial (as 3^d_alpha B_alpha), the elimination
                 polynomials g_alpha, resultants and gcd chains mod p.
-- ``ffield``:   the extension F_{q^2}, built on ``symalg``, plus Lucas
-                binomials.
-- ``hermite``:  the binomial map, the coefficient sums S_q(alpha, a), the
-                reduced Hermite permutation test and the brute-force oracle.
+- ``ffield``:   the extension F_{q^2}, built on ``symalg``: its modulus
+                search and its log, exp and Zech tables.
+- ``hermite``:  the binomial map, Lucas binomials, the coefficient sums
+                S_q(alpha, a), the Hermite test and the brute-force oracle.
 - ``classify``: the classification predicate, sporadic tables, the elimination
                 pipeline and the exhaustive equivalence sweep.
 
-``cli`` exposes everything as a reproducible command-line tool (``permbinom``).
+``cli`` renders every record as text or JSON, as the tool ``permbinom``.
 Result records are read-only ``typing.NamedTuple``s, cheaper to create at
 import than classes whose methods a decorator generates with ``exec``.
 The literal power sums and the Lemma 3.1 profile that check ``hermite`` are

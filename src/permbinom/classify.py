@@ -11,7 +11,6 @@ every other characteristic.
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -234,12 +233,6 @@ class PPVerdict(NamedTuple):
         return ((self.brute is None or self.brute == self.predicted)
                 and (self.hermite is None or self.hermite == self.predicted))
 
-    def to_dict(self) -> dict:
-        return dict(self._asdict(), agree=self.agree)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 class SweepResult(NamedTuple):
     q_max: int
@@ -247,15 +240,6 @@ class SweepResult(NamedTuple):
     verdicts: List[PPVerdict]
     pp_counts: Dict[int, int]
     disagreements: List[PPVerdict]
-
-    def summary(self) -> dict:
-        return {
-            "q_max": self.q_max,
-            "method": self.method,
-            "pp_counts": {str(q): c for q, c in sorted(self.pp_counts.items())},
-            "disagreements": [v.to_dict() for v in self.disagreements],
-            "total_pairs": len(self.verdicts),
-        }
 
 
 def prime_powers(limit: int) -> List[int]:

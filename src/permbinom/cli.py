@@ -25,7 +25,7 @@ from typing import List, Optional
 
 from permbinom import classify, hermite, symalg
 from permbinom.ffield import make_field
-from permbinom.symalg import poly_json, poly_str
+from permbinom.symalg import poly_str
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -62,7 +62,7 @@ def _int(name: str, text: str, lo: Optional[int] = None, hi: Optional[int] = Non
     if len(text) > MAX_DIGITS:
         why = (f"is below {lo}" if lo is not None and text.startswith("-")
                else f"has more than {MAX_DIGITS} digits, far beyond any size bound")
-    elif not re.fullmatch(r"[+-]?\d+", text):
+    elif not re.fullmatch(r"[+-]?[0-9]+", text):
         raise UsageError(f"{name} = {text!r} is not an integer")
     else:
         value = int(text)
@@ -83,6 +83,16 @@ def _field_and_element(spec: str, a_text: str):
     if not 0 < a < ctx.q2:
         raise UsageError(f"a = {a} is not a nonzero element of F_{ctx.q2}")
     return ctx, a
+
+
+def _poly_json(f) -> list:
+    """Little-endian array of exact coefficient strings ("num/den" for rationals)."""
+    return [str(c) for c in f]
+
+
+def _verdict(v: classify.PPVerdict) -> dict:
+    """A verdict as a JSON object: its fields and ``agree``."""
+    return dict(v._asdict(), agree=v.agree)
 
 
 def _evaluations(table: dict) -> dict:
@@ -106,24 +116,29 @@ def _factorization(fact: symalg.FactorResult) -> tuple:
 
 
 def cmd_verify(args):
+    if args.verdicts and args.json:
+        raise UsageError("--verdicts streams text lines and cannot be combined with --json")
     max_q = _int("max_q", args.max_q)
     res = classify.sweep(q_max=max_q, method=args.method)
+    counts = {str(q): c for q, c in sorted(res.pp_counts.items())}
     lines = [
         f"swept {len(res.verdicts)} (q, a) pairs for prime powers q <= {max_q}",
-        "pp counts per q: "
-        + ", ".join(f"{q}:{c}" for q, c in sorted(res.pp_counts.items()) if c),
+        "pp counts per q: " + ", ".join(f"{q}:{c}" for q, c in counts.items() if c),
         f"{len(res.disagreements)} disagreements",
     ]
     if args.verdicts:  # streamed: --max-q 128 has 201,293 of them
-        lines = itertools.chain((v.to_json() for v in res.verdicts), lines)
-    return ({"max_q": max_q, "method": args.method}, res.summary(), lines,
-            not res.disagreements)
+        lines = itertools.chain((json.dumps(_verdict(v), sort_keys=True) for v in res.verdicts),
+                                lines)
+    results = {"q_max": max_q, "method": args.method, "pp_counts": counts,
+               "disagreements": [_verdict(v) for v in res.disagreements],
+               "total_pairs": len(res.verdicts)}
+    return {"max_q": max_q, "method": args.method}, results, lines, not res.disagreements
 
 
 def cmd_check(args):
     ctx, a = _field_and_element(args.q, args.a)
     v = classify.classify(ctx, a, "both")
-    return {"q": args.q, "a": a}, v.to_dict(), [
+    return {"q": args.q, "a": a}, _verdict(v), [
         f"q = {ctx.q} (F_{ctx.q2}), a = {a}",
         f"brute = {v.brute}, hermite = {v.hermite}, predicted = {v.predicted}",
         f"agree = {v.agree}",
@@ -155,8 +170,8 @@ def cmd_gpoly(args):
         "alpha": rec.alpha,
         "d_alpha": rec.d_alpha,
         "q_bound": rec.q_bound,
-        "g": poly_json(rec.g),
-        "bracket": poly_json([Fraction(c, 3**rec.d_alpha) for c in rec.scaled]),
+        "g": _poly_json(rec.g),
+        "bracket": _poly_json([Fraction(c, 3**rec.d_alpha) for c in rec.scaled]),
     }
     return {"alpha": alpha}, results, [poly_str(rec.g)], True
 
@@ -173,7 +188,7 @@ def cmd_resultant(args):
         fact = symalg.factor_trial(res)
         results["factorization"], text = _factorization(fact)
         results["complete"] = fact.complete
-        lines.append(f"  = {text}")
+        lines.append(f"  = {'-' if res < 0 else ''}{text}")
     return {"left": left, "right": right}, results, lines, True
 
 
@@ -183,7 +198,7 @@ def cmd_gcdchain(args):
     evals = _evaluations(table)
     lines = [f"gcd(g_2, g_5, g_8) mod {p} = {poly_str(gcd, 'x')}"]
     lines += [f"  {k} mod {p} = {v}" for k, v in evals.items()]
-    return {"p": p}, {"gcd": poly_json(gcd), "roots": roots, "evaluations": evals}, lines, True
+    return {"p": p}, {"gcd": _poly_json(gcd), "roots": roots, "evaluations": evals}, lines, True
 
 
 def cmd_sporadic(args):
@@ -200,7 +215,7 @@ def cmd_pipeline(args):
     factorization, factors = _factorization(report.factorization)
     chains = {
         str(p): {
-            "gcd": poly_json(c.gcd),
+            "gcd": _poly_json(c.gcd),
             "roots": list(c.roots),
             "evaluations": _evaluations(c.evaluations),
             "conclusion": c.conclusion,

@@ -20,7 +20,6 @@ here of residues mod p.
 
 from __future__ import annotations
 
-import math
 from array import array
 from typing import Iterator, List
 
@@ -251,30 +250,6 @@ class FieldCtx:
 def make_field(p: int, e: int) -> FieldCtx:
     """Canonical context for F_{q^2}, q = p^e."""
     return FieldCtx(p, e)
-
-
-# ---------------------------------------------------------------------------
-# Combinatorial helpers
-# ---------------------------------------------------------------------------
-
-
-def lucas_binom(p: int, m: int, k: int) -> int:
-    """C(m, k) mod p by base-p digit products.
-
-    Out-of-range k (k < 0 or k > m) gives 0, matching the starred convention
-    of treating binomials at impossible indices as vanishing.
-    """
-    if k < 0 or k > m:
-        return 0
-    r = 1
-    while m or k:
-        mi, ki = m % p, k % p
-        if ki > mi:
-            return 0
-        r = r * math.comb(mi, ki) % p
-        m //= p
-        k //= p
-    return r
 
 
 def is_primitive_cube_root(ctx: FieldCtx, y: int) -> bool:

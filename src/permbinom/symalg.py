@@ -421,7 +421,7 @@ def roots_mod_p(f: Sequence[int], p: int) -> Tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Text and JSON forms
+# Text form
 # ---------------------------------------------------------------------------
 
 
@@ -443,9 +443,3 @@ def poly_str(f: Sequence[int], var: str = "y") -> str:
             body = x if mag == 1 else f"{mag}{x}"
         parts.append(sign + body)
     return "".join(parts)
-
-
-def poly_json(f: Sequence) -> List[str]:
-    """Little-endian array of exact coefficient strings ("num/den" for rationals)."""
-    return [str(c) for c in f]
-

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from permbinom.ffield import FieldCtx, fp_mulmod, is_primitive_cube_root, lucas_binom
-from permbinom.hermite import BinomialMap, PreconditionViolated, interval_census
+from permbinom.ffield import FieldCtx, fp_mulmod, is_primitive_cube_root
+from permbinom.hermite import BinomialMap, PreconditionViolated, interval_census, lucas_binom
 from permbinom.symalg import NotDivisible, fp_trim, poly_degree
 
 

@@ -1,6 +1,8 @@
+import json
+
 import pytest
 
-from permbinom import classify
+from permbinom import classify, cli
 from permbinom.classify import (
     CENSUS_TARGETS,
     SPORADIC_TABLE,
@@ -205,12 +207,14 @@ class TestSweep:
             2: 2, 3: 0, 4: 0, 5: 10, 7: 0, 8: 15, 9: 0, 11: 16, 13: 0
         }
 
-    def test_verdict_agree_and_json(self):
-        result = sweep(5, method="both")
-        v = result.verdicts[0]
-        assert v.agree and v.to_json().startswith("{")
-        assert set(v.to_dict()) == {"q", "p", "e", "a", "brute", "hermite",
-                                    "predicted", "agree"}
+    def test_verdict_agree_and_json(self, capsys):
+        # cli renders a verdict; --verdicts streams it as one sorted JSON line.
+        v = sweep(5, method="both").verdicts[0]
+        assert v.agree and set(cli._verdict(v)) == {"q", "p", "e", "a", "brute", "hermite",
+                                                     "predicted", "agree"}
+        assert cli.run(["verify", "--max-q", "5", "--verdicts"]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        assert line == json.dumps(cli._verdict(v), sort_keys=True) and line.startswith("{")
 
     @pytest.mark.parametrize("brute", [None, True, False])
     @pytest.mark.parametrize("hermite", [None, True, False])
@@ -221,17 +225,18 @@ class TestSweep:
         v = PPVerdict(5, 5, 1, 2, brute, hermite, predicted)
         votes = {x for x in (brute, hermite, predicted) if x is not None}
         assert v.agree is (len(votes) == 1)
-        assert v.to_dict() == {"q": 5, "p": 5, "e": 1, "a": 2, "brute": brute,
-                               "hermite": hermite, "predicted": predicted,
-                               "agree": len(votes) == 1}
+        assert cli._verdict(v) == {"q": 5, "p": 5, "e": 1, "a": 2, "brute": brute,
+                                   "hermite": hermite, "predicted": predicted,
+                                   "agree": len(votes) == 1}
 
     def test_single_method_leaves_other_none(self):
         result = sweep(5, method="hermite")
         assert all(v.brute is None and v.hermite is not None for v in result.verdicts)
         assert not result.disagreements
 
-    def test_summary_shape(self):
-        s = sweep(8, method="brute").summary()
+    def test_summary_shape(self, capsys):
+        assert cli.run(["verify", "--max-q", "8", "--method", "brute", "--json"]) == 0
+        s = json.loads(capsys.readouterr().out)["results"]
         assert s["q_max"] == 8 and s["total_pairs"] == sum(
             q * q - 1 for q in (2, 3, 4, 5, 7, 8)
         )

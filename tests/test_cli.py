@@ -115,6 +115,19 @@ class TestOtherSubcommands:
         }
         assert doc["results"]["complete"] is True
 
+    @pytest.mark.parametrize("right", ["5", "8"], ids=["negative", "positive"])
+    def test_resultant_factor_line_is_an_equation(self, capsys, right):
+        # The factor line multiplies back to the resultant, sign included:
+        # Res(g_2, g_5) < 0 < Res(g_2, g_8), whose cofactor prints as "C (...)".
+        code, out, _ = invoke(capsys, "resultant", "--left", "2", "--right", right, "--factor")
+        res_line, factor_line = out.splitlines()
+        product = -1 if factor_line.startswith("  = -") else 1
+        for term in factor_line.removeprefix("  = ").lstrip("-").split(" * "):
+            base, _, exp = term.removeprefix("C (").rstrip(")").partition("^")
+            product *= int(base) ** int(exp or 1)
+        res = int(res_line.split(" = ")[1])
+        assert code == EXIT_OK and product == res and (res < 0) is (right == "5")
+
     def test_gcdchain_29(self, capsys):
         code, out, _ = invoke(capsys, "gcdchain", "--p", "29", "--json")
         doc = json.loads(out)
@@ -183,11 +196,17 @@ class TestBadInputExitCodes:
     @pytest.mark.parametrize("q, says", [("1_1", "p of \"p^e\" = '1_1'"),
                                          (" 11", "p of \"p^e\" = ' 11'"),
                                          ("11^ 1", "e of \"p^e\" = ' 1'"),
-                                         ("2^3^4", "e of \"p^e\" = '3^4'")],
-                             ids=["underscore", "space", "space-in-e", "two-carets"])
+                                         ("2^3^4", "e of \"p^e\" = '3^4'"),
+                                         ("１１", "p of \"p^e\" = '１１'"),
+                                         ("٥", "p of \"p^e\" = '٥'"),
+                                         ("2^３", "e of \"p^e\" = '３'"),
+                                         ("2^٣", "e of \"p^e\" = '٣'")],
+                             ids=["underscore", "space", "space-in-e", "two-carets",
+                                  "full-width-p", "arabic-indic-p", "full-width-e",
+                                  "arabic-indic-e"])
     def test_field_part_not_an_integer(self, capsys, cmd, q, says):
         # p and e follow the rule of every numeric option: int() alone would
-        # read "1_1" and " 11" as 11, and " 1" as 1.
+        # read "1_1", " 11" and the full-width "１１" as 11, and " 1" as 1.
         self.assert_usage_error(capsys, cmd, "--q", q, "--a", "1",
                                 says=f"{says} is not an integer")
 
@@ -252,6 +271,11 @@ class TestBadInputExitCodes:
                                       says="unrecognized arguments: --jobs=999")
         assert len(err) < 200
 
+    def test_verify_verdicts_with_json(self, capsys):
+        # The JSON document would drop the streamed verdict lines.
+        self.assert_usage_error(capsys, "verify", "--max-q", "8", "--verdicts", "--json",
+                                says="--verdicts streams text lines")
+
     def test_gcdchain_non_prime_p(self, capsys):
         self.assert_usage_error(capsys, "gcdchain", "--p", "4", says="p = 4 is not prime")
 
@@ -311,13 +335,15 @@ class TestBadInputExitCodes:
                        "max-q": ("max_q", ["verify", "--max-q"]),
                        "sporadic-q": ("q", ["sporadic", "--q"])}
     BAD_NUMBERS = {"+4000": "9" * 4000, "-4000": "-" + "9" * 4000, "5000": "9" * 5000,
-                   "-5000": "-" + "9" * 5000, "2.0": "2.0", "0x10": "0x10"}
+                   "-5000": "-" + "9" * 5000, "2.0": "2.0", "0x10": "0x10",
+                   "full-width": "１３", "arabic-indic": "١٣"}
 
     @pytest.mark.parametrize("value", BAD_NUMBERS.values(), ids=BAD_NUMBERS)
     @pytest.mark.parametrize("option", NUMERIC_OPTIONS.values(), ids=NUMERIC_OPTIONS)
     def test_long_or_non_integer_number(self, capsys, option, value):
-        # 4,000 and 5,000 digits lie either side of int()'s 4,300-digit limit;
-        # none is converted, and the one error line has no usage line above it.
+        # 4,000 and 5,000 digits lie either side of int()'s 4,300-digit limit,
+        # and int() reads non-ASCII decimal digits; none is converted, and the
+        # one error line has no usage line above it.
         name, argv = option
         err = self.assert_usage_error(capsys, *argv[:-1], f"{argv[-1]}={value}",
                                       says=f"{name} = ")
@@ -381,6 +407,9 @@ class TestContract:
         assert imports(ffield) == {"symalg"}
         assert imports(hermite) == {"ffield"}
         assert imports(classify) == {"ffield", "hermite", "symalg"}
+        # Lucas binomials live in hermite, their one caller.
+        assert hermite.lucas_binom.__module__ == "permbinom.hermite"
+        assert not hasattr(ffield, "lucas_binom")
 
     def test_one_home_for_chains_and_number_text(self):
         # cli formats the table of classify.gcd_chain and names no chain step
@@ -393,6 +422,14 @@ class TestContract:
                     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
                     and node.id == "MAX_DIGITS"}
         assert defining == {"cli"}
+        # The library returns records; cli alone imports json and renders them.
+        package = Path(permbinom.__file__).parent
+        assert {path.stem for path in package.glob("*.py") if "json" in _imported(path)} == {"cli"}
+        records = [v for v in vars(classify).values()
+                   if isinstance(v, type) and issubclass(v, tuple) and hasattr(v, "_fields")]
+        assert classify.PPVerdict in records and classify.SweepResult in records
+        for record in records:
+            assert not {"to_dict", "to_json", "summary"} & set(dir(record)), record.__name__
 
     def test_import_loads_no_process_pool(self):
         # The package starts no other process, so a fresh import of the CLI

@@ -15,9 +15,9 @@ from permbinom.ffield import (
     fp_powmod,
     is_irreducible,
     is_primitive_cube_root,
-    lucas_binom,
     make_field,
 )
+from permbinom.hermite import lucas_binom
 from permbinom.symalg import prime_factors
 
 from conftest import BENCH_FIELDS, FIELDS_16, FIELDS_32, TABLE_FIELDS

@@ -10,7 +10,7 @@ import pytest
 import permbinom
 from permbinom import hermite
 from permbinom.classify import prime_powers
-from permbinom.ffield import FieldCtx, is_primitive_cube_root, lucas_binom, make_field
+from permbinom.ffield import FieldCtx, is_primitive_cube_root, make_field
 from permbinom.hermite import (
     BinomialMap,
     PreconditionViolated,
@@ -19,6 +19,7 @@ from permbinom.hermite import (
     has_nonzero_root,
     hermite_pp_test,
     interval_census,
+    lucas_binom,
     s_q,
 )
 
