@@ -16,7 +16,7 @@ from permbinom.hermite import BinomialMap, brute_pp_test, hermite_pp_test, s_q
 spec = sys.argv[1] if len(sys.argv) > 1 else "2^3"
 a_text = sys.argv[2] if len(sys.argv) > 2 else "3"
 try:  # read as `permbinom check --q p^e --a a` reads them
-    ctx, a = _field_and_element(spec, a_text)
+    ctx, a, _ = _field_and_element(spec, a_text)
 except ValueError as exc:
     print(f"error: {exc}", file=sys.stderr)
     sys.exit(EXIT_USAGE)

@@ -76,13 +76,13 @@ def _int(name: str, text: str, lo: Optional[int] = None, hi: Optional[int] = Non
 
 
 def _field_and_element(spec: str, a_text: str):
-    """The field F_{q^2} named by a "p^e" (or bare "p") argument, and a checked nonzero a."""
+    """F_{q^2} named by "p^e" (or bare "p"), a checked nonzero a, and their canonical ``config``."""
     a = _int("a", a_text)
     p_text, caret, e_text = spec.partition("^")
     ctx = make_field(_int('p of "p^e"', p_text), _int('e of "p^e"', e_text) if caret else 1)
     if not 0 < a < ctx.q2:
         raise UsageError(f"a = {a} is not a nonzero element of F_{ctx.q2}")
-    return ctx, a
+    return ctx, a, {"q": str(ctx.p) if ctx.e == 1 else ctx.descriptor(), "a": a}
 
 
 def _poly_json(f) -> list:
@@ -136,9 +136,9 @@ def cmd_verify(args):
 
 
 def cmd_check(args):
-    ctx, a = _field_and_element(args.q, args.a)
+    ctx, a, config = _field_and_element(args.q, args.a)
     v = classify.classify(ctx, a, "both")
-    return {"q": args.q, "a": a}, _verdict(v), [
+    return config, _verdict(v), [
         f"q = {ctx.q} (F_{ctx.q2}), a = {a}",
         f"brute = {v.brute}, hermite = {v.hermite}, predicted = {v.predicted}",
         f"agree = {v.agree}",
@@ -146,7 +146,7 @@ def cmd_check(args):
 
 
 def cmd_hermite_profile(args):
-    ctx, a = _field_and_element(args.q, args.a)
+    ctx, a, config = _field_and_element(args.q, args.a)
     sums = {alpha: hermite.s_q(ctx, a, alpha) for alpha in range(ctx.q)}
     root_ok = not hermite.has_nonzero_root(ctx, a)
     is_pp = hermite.hermite(root_ok, sums.values())
@@ -158,7 +158,7 @@ def cmd_hermite_profile(args):
     lines = [f"q = {ctx.q}, a = {a}", f"only root zero: {root_ok}"]
     lines += [f"  S({alpha}) = {v}" for alpha, v in sums.items()]
     lines.append(f"hermite verdict: {'PP' if is_pp else 'not a PP'}")
-    return {"q": args.q, "a": a}, results, lines, True
+    return config, results, lines, True
 
 
 def cmd_gpoly(args):

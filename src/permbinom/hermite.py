@@ -21,6 +21,8 @@ is known:
   log a, and each S_q is summed in the log domain by the one kernel that
   ``s_q`` also uses, one Zech lookup per term.  Term lists come from the
   base-p digits of alpha (Lucas), and only the nonempty ones are walked.
+  The verdict depends on a only through log a mod (q-1)*gcd(3, q+1), so
+  it is decided once per class of that key and then read from a memo.
 """
 
 from __future__ import annotations
@@ -153,10 +155,11 @@ def _nonempty_terms(p: int, q: int) -> tuple:
     """The nonempty ``_s_q_terms`` lists of (p, q) in alpha order: the list
     built so far and a generator that builds, appends and yields the next,
     read as chain(built, more) only as far as a caller needs, by one thread
-    at a time.  Keyed on ints; one field's walk, <= 2^12 lists, is kept."""
+    at a time; then ``hermite_pp_test``'s verdicts by class key.  Keyed on
+    ints; one field's walk, <= 2^12 lists, and its verdicts are kept."""
     built: list = []
     lists = (_s_q_terms(p, q, alpha) for alpha in range(q))
-    return built, (built.append(terms) or terms for terms in lists if terms)
+    return built, (built.append(terms) or terms for terms in lists if terms), {}
 
 
 def _log_sum(terms: tuple, la: int, log, zech, m: int) -> int:
@@ -258,30 +261,37 @@ def brute_pp_test(ctx: FieldCtx, a: int) -> bool:
 
 
 def hermite_pp_test(ctx: FieldCtx, a: int) -> bool:
-    """Reduced power-sum permutation test.
+    """Reduced power-sum permutation test, decided once per class.
 
     The only-root-zero condition is the closed form of ``has_nonzero_root``
     for every q.  No case is assumed impossible a priori: for 3 not dividing
     q+1 the sums are still computed whenever 0 is the only root, so the
     divisibility necessity is observed, not hard-coded.  The sums run in
-    alpha order through ``_log_sum``, with the tables bound once, over the
-    nonempty term lists of ``_nonempty_terms`` alone.  Those are built only
-    as far as the first nonzero sum, and that sum decides.
+    alpha order through ``_log_sum`` over the nonempty term lists of
+    ``_nonempty_terms``, built only as far as the first nonzero sum, which
+    decides.
+
+    Classes.  A term has i - j = d, 3d = alpha+1 + l(q+1) and k = -i(q+1) + dq
+    = -d mod q+1, so d = (alpha+1)/3 mod P if 3 | q+1, else d = (alpha+1)*3^-1
+    mod P = q+1: all k of one list are -d mod P, and S_q(alpha, a) is a^k times
+    a sum in a^P, fixed by key = log a mod m/P = (q-1)*gcd(3, q+1), as is the
+    root test (P*log a = 0 mod m iff key = 0).  The first a of a class is
+    decided, its verdict stored once complete, and every later a reads it.
     """
     if a == 0:
         raise PreconditionViolated("a must be nonzero")
-    if has_nonzero_root(ctx, a):
-        return False
-    log, zech, m = ctx._log, ctx._zech, ctx.q2 - 1
+    log, zech, m, q = ctx._log, ctx._zech, ctx.q2 - 1, ctx.q
     la = log[a]
-    try:
-        for terms in itertools.chain(*_nonempty_terms(ctx.p, ctx.q)):
-            if _log_sum(terms, la, log, zech, m) >= 0:
-                return False
-    except BaseException:  # a walk cut inside its generator cannot resume
-        _nonempty_terms.cache_clear()
-        raise
-    return True
+    built, more, verdicts = _nonempty_terms(ctx.p, q)
+    key = la % ((q - 1) * math.gcd(3, q + 1))
+    if key not in verdicts:
+        try:
+            verdicts[key] = not has_nonzero_root(ctx, a) and all(
+                _log_sum(terms, la, log, zech, m) < 0 for terms in itertools.chain(built, more))
+        except BaseException:  # a walk cut inside its generator cannot resume
+            _nonempty_terms.cache_clear()
+            raise
+    return verdicts[key]
 
 
 def hermite(only_root_zero: bool, sums: Iterable[int]) -> bool:

@@ -67,6 +67,15 @@ class TestCheck:
         code, out, err = invoke(capsys, "check", "--q", "5", "--a", "0")
         assert code == EXIT_USAGE and "nonzero" in err
 
+    @pytest.mark.parametrize("cmd", ["check", "hermite-profile"])
+    def test_config_echoes_canonical_q(self, capsys, cmd):
+        # One request, one document: q is echoed as "p" or "p^e", not as typed.
+        outs = {invoke(capsys, cmd, "--q", q, "--a", "3", "--json")[1]
+                for q in ("5", "05", "+5", "5^1")}
+        assert len(outs) == 1 and json.loads(outs.pop())["config"] == {"a": 3, "q": "5"}
+        _, out, _ = invoke(capsys, cmd, "--q", "2^03", "--a", "3", "--json")
+        assert json.loads(out)["config"] == {"a": 3, "q": "2^3"}
+
 
 class TestVerify:
     def test_small_sweep(self, capsys):

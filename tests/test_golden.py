@@ -51,6 +51,9 @@ CASES.update({"check_2-3_a7.txt": ["check", "--q", "2^3", "--a", "7"],
               "sporadic_11.json": ["sporadic", "--q", "11", "--json"],
               "gcdchain_p2.txt": ["gcdchain", "--p", "2"],
               "verify_max-q-13_brute.txt": ["verify", "--max-q", "13", "--method", "brute"]})
+# The hermite sweep alone, captured before hermite_pp_test decided once per
+# class of log a mod (q-1)*gcd(3, q+1).
+CASES["verify_max-q-64_hermite.json"] = ["verify", "--max-q", "64", "--method", "hermite", "--json"]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

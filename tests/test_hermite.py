@@ -274,11 +274,55 @@ class TestLazyWalk:
             return real(p, q, alpha)
 
         monkeypatch.setattr(hermite, "_s_q_terms", interrupted)
+        verdicts = hermite._nonempty_terms(5, 125)[2]
         with pytest.raises(KeyboardInterrupt):
             hermite_pp_test(ctx, members[0])
+        # The interrupted call stored no verdict, in the memo it read or after.
+        assert verdicts == {} and hermite._nonempty_terms(5, 125)[2] == {}
         monkeypatch.setattr(hermite, "_s_q_terms", real)
         assert not any(hermite_pp_test(ctx, a) for a in members)
         assert not any(brute_pp_test(ctx, a) for a in members)
+
+
+class TestClassMemo:
+    """Every exponent of one term list lies in one class mod
+    P = (q+1)/gcd(3, q+1), so Hermite's verdict depends on a only through
+    log a mod (q-1)*gcd(3, q+1), and hermite_pp_test decides once per class."""
+
+    @pytest.mark.parametrize("q", prime_powers(128) + [2**9, 3**5])
+    def test_term_exponents_share_one_residue(self, q):
+        # k = -d mod q+1 for d = i - j, and 3d = alpha+1 + l(q+1) fixes d mod P.
+        p, g = smallest_prime_factor(q), math.gcd(3, q + 1)
+        period, nonempty = (q + 1) // g, 0
+        for alpha in range(q):
+            d = (alpha + 1) // 3 if g == 3 else (alpha + 1) * pow(3, -1, period)
+            residues = {k % period for _, k in _s_q_terms(p, q, alpha)}
+            assert residues <= {-d % period}, (q, alpha)
+            nonempty += bool(residues)
+        assert nonempty or q == 2
+
+    @staticmethod
+    def assert_warm_matches_cold_and_brute(ctx, units):
+        hermite._nonempty_terms.cache_clear()
+        warm = [hermite_pp_test(ctx, a) for a in units]
+        classes = (ctx.q - 1) * math.gcd(3, ctx.q + 1)
+        assert len(hermite._nonempty_terms(ctx.p, ctx.q)[2]) == len(
+            {ctx._log[a] % classes for a in units})
+        for a, verdict in zip(units, warm):
+            hermite._nonempty_terms.cache_clear()
+            assert verdict == hermite_pp_test(ctx, a) == brute_pp_test(ctx, a), (ctx.q, a)
+
+    @pytest.mark.parametrize("q", prime_powers(64))
+    def test_warm_matches_cold_and_brute(self, fields, cold_walk, q):
+        ctx = ctx_for_q(fields, q)
+        self.assert_warm_matches_cold_and_brute(ctx, list(ctx.units()))
+
+    @pytest.mark.parametrize("p, e", [(2, 7), (5, 3)])
+    def test_cube_class_warm_matches_cold_and_brute(self, fields, cold_walk, p, e):
+        ctx = fields(p, e)
+        members = cube_class(ctx)
+        self.assert_warm_matches_cold_and_brute(ctx, members)
+        assert [hermite_pp_test(ctx, a) for a in members] == [p == 2] * len(members)
 
 
 # The fields of TABLE_FIELDS in which no S_q(alpha, a) has a proper prefix of
@@ -317,24 +361,30 @@ class TestSqLogDomain:
 
 class TestHermiteKernel:
     """hermite_pp_test sums through the kernel of s_q: each S_q once, in alpha
-    order, up to the first nonzero one, and none when a has a nonzero root."""
+    order, up to the first nonzero one, and none when a has a nonzero root.
+    It does so for the first a of each class of log a mod (q-1)*gcd(3, q+1)
+    only; every later a of the class reads the stored verdict."""
 
     @pytest.mark.parametrize("q", [5, 8, 9, 11, 16])
-    def test_zech_reads_match_s_q_up_to_decision(self, fields, monkeypatch, q):
+    def test_zech_reads_match_s_q_up_to_decision(self, fields, monkeypatch, cold_walk, q):
         ctx = ctx_for_q(fields, q)
         monkeypatch.setattr(ctx, "_zech", CountingLookups(ctx._zech))
         zech = ctx._zech
+        classes, seen = (q - 1) * math.gcd(3, q + 1), set()
         for a in ctx.units():
+            key = ctx._log[a] % classes
             zech.count = 0
             expected = 0
-            if not has_nonzero_root(ctx, a):
+            if key not in seen and not has_nonzero_root(ctx, a):
                 for alpha in range(q):
                     if s_q(ctx, a, alpha):
                         break
                 expected = zech.count
                 zech.count = 0
+            seen.add(key)
             hermite_pp_test(ctx, a)
             assert zech.count == expected, (q, a)
+        assert len(seen) == classes
 
     def test_terms_only_at_alpha_2_mod_3(self):
         # Every term has k = -i - jq, so 3k = -(alpha+1) mod q+1; when
