@@ -19,8 +19,13 @@ is known:
   checking because all other power sums vanish identically.  The root
   condition is the closed form of ``has_nonzero_root``, one product of
   log a, and each S_q is summed in the log domain by the one kernel that
-  ``s_q`` also uses, one Zech lookup per term.  Term lists come from the
-  base-p digits of alpha (Lucas), and only the nonempty ones are walked.
+  ``s_q`` also uses, one Zech lookup per term.  Term lists are built digit
+  by digit, and only the nonempty ones are walked.  By Lucas,
+  C(alpha, i) * C(q-1-alpha, j) != 0 mod p iff i <= alpha and
+  j <= q-1-alpha digit by digit.  The digits of alpha and q-1-alpha sum to
+  p-1, so x = i + (q-1-alpha-j) has no carry or borrow; x = q-1-alpha + i-j
+  is fixed by alpha and l, so the i are the product of one digit interval
+  per position of x.
   The verdict depends on a only through log a mod (q-1)*gcd(3, q+1), so
   it is decided once per class of that key and then read from a memo.
 """
@@ -30,7 +35,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from bisect import bisect_left
 from typing import Iterable, NamedTuple
 
 from permbinom.ffield import DEFAULT_SIZE_BOUND, FieldCtx
@@ -116,37 +120,55 @@ def lucas_binom(p: int, m: int, k: int) -> int:
     return r
 
 
+@functools.lru_cache(maxsize=8)
+def _factorials(p: int) -> tuple:
+    """n! and 1/n! mod p for 0 <= n < p: C(n, k) = f[n] * g[k] * g[n-k] mod
+    p for the digit binomials of ``_s_q_terms``, with no big-int comb."""
+    f = list(itertools.accumulate(range(1, p), lambda x, n: x * n % p, initial=1))
+    return f, [pow(x, -1, p) for x in f]
+
+
 @functools.lru_cache(maxsize=math.isqrt(DEFAULT_SIZE_BOUND))
 def _s_q_terms(p: int, q: int, alpha: int) -> tuple:
     """The nonzero terms (c, k) of S_q(alpha, a) = sum of c * a^k, with
-    c = C(alpha, i) * C(q-1-alpha, j) mod p (Lucas) and k = -i - j*q mod
-    q^2 - 1.  Only the <= 3 admissible differences d = i - j are iterated,
-    each over the i in [d, q-1-alpha+d] whose base-p digits are all at most
-    alpha's, as C(alpha, i) = 0 mod p for any other i.  Once alpha is
-    validated, those i are listed in ascending order digit by digit, and
-    each interval is cut out by bisection; for alpha < p (every alpha when
-    q = p) all i <= alpha qualify and no list is made.  Keyed on ints, so
-    the cache keeps no field's tables alive; it holds every alpha of the
-    largest accepted q, 2^12."""
-    multiples = interval_census(q, alpha).multiples
+    c = C(alpha, i) * C(comp, j) mod p, comp = q-1-alpha, over the <= 3
+    admissible d = i - j, and k = -i - j*q = dq - i(q+1) mod q^2 - 1.
+
+    No-carry lemma.  By Lucas, c != 0 iff i <= alpha and j <= comp digit
+    by digit, and comp's digits are comp_k = p-1-alpha_k.  For such (i, j),
+    x = i + (comp - j) subtracts with no borrow (j_k <= comp_k) and adds
+    with no carry (i_k + comp_k - j_k <= alpha_k + comp_k = p-1), so
+    x = comp + d has digits x_k = i_k + comp_k - j_k.  Conversely, every
+    choice of i_k in [max(0, x_k - comp_k), min(alpha_k, x_k)] gives such a
+    pair with j_k = i_k + comp_k - x_k.  So the terms of d are that
+    digit-wise product, with c the product of C(alpha_k, i_k) *
+    C(comp_k, j_k), never 0 mod p; for p = 2 it has one term.  The census
+    interval gives alpha+1-q <= d <= alpha, so 0 <= x < q, and as
+    x_k <= alpha_k + comp_k no digit interval is empty.  Digit binomials
+    come from ``_factorials``.  The most significant digit is taken first,
+    so i ascends within each d, as in a scan of i.
+    Keyed on ints, so the cache keeps no field's tables alive; it holds
+    every alpha of the largest accepted q, 2^12."""
     order, comp = q * q - 1, q - 1 - alpha
-    cands, pk = None, p  # None while every i <= alpha qualifies
-    while pk <= alpha:  # prefix each listed i with every digit <= alpha's
-        low = cands or range(alpha % p + 1)
-        cands = [t + i for t in range(0, (alpha // pk % p + 1) * pk, pk) for i in low]
-        pk *= p
+    f, g = _factorials(p)
     terms = []
-    for l in multiples:
+    for l in interval_census(q, alpha).multiples:
         num = alpha + 1 + l * (q + 1)
         if num % 3:
             continue  # no (i, j) pair can satisfy the congruence
-        d = num // 3
-        lo, hi = max(0, d), min(alpha, comp + d) + 1
-        for i in cands[bisect_left(cands, lo):bisect_left(cands, hi)] if cands else range(lo, hi):
-            j = i - d
-            c = lucas_binom(p, alpha, i) * lucas_binom(p, comp, j) % p
-            if c:
-                terms.append((c, (-i - j * q) % order))
+        d, pk, c0, i0, heads = num // 3, q, 1, 0, [(1, 0)]  # (c, i) over the branching digits
+        while pk > 1:  # the most significant digit first
+            pk //= p
+            ak, xk = alpha // pk % p, (comp + d) // pk % p
+            ck = p - 1 - ak
+            lo, hi, fac = max(0, xk - ck), min(ak, xk), f[ak] * f[ck]
+            if lo == hi:  # one choice, folded into c0 and i0
+                c0 = c0 * fac * g[lo] * g[ak - lo] * g[lo + ck - xk] * g[xk - lo] % p
+                i0 += lo * pk
+            else:
+                heads = [(c * fac * g[t] * g[ak - t] * g[t + ck - xk] * g[xk - t] % p, i + t * pk)
+                         for c, i in heads for t in range(lo, hi + 1)]
+        terms += [(c * c0 % p, (d * q - (i + i0) * (q + 1)) % order) for c, i in heads]
     return tuple(terms)
 
 

@@ -187,25 +187,52 @@ def smallest_prime_factor(q):
 
 
 class TestSqTermsFromLucasDigits:
-    """_s_q_terms tries only the i whose base-p digits lie at or below alpha's;
-    its lists must equal the range scan's, tuple for tuple."""
+    """_s_q_terms lists the terms of each d = i - j digit by digit, from the
+    no-carry lemma on x = i + (q-1-alpha-j); its lists must equal the range
+    scan's, tuple for tuple."""
 
-    @pytest.mark.parametrize("q", prime_powers(128) + [2**9, 3**5])
+    @pytest.mark.parametrize("q", prime_powers(128) + [2**9, 3**5, 7**3, 13**2])
     def test_matches_range_scan(self, q):
         p = smallest_prime_factor(q)
         for alpha in range(q):
             assert _s_q_terms.__wrapped__(p, q, alpha) == s_q_terms_oracle(p, q, alpha), (q, alpha)
 
-    @pytest.mark.parametrize("p, e, most", [(2, 7, 1392), (5, 3, 2238)])
-    def test_lucas_binom_calls(self, monkeypatch, p, e, most):
-        # The range scan makes 5,544 calls at 2^7 and 5,288 at 5^3.
+    @pytest.mark.parametrize("p, e", [(2, 7), (5, 3), (127, 1)])
+    def test_no_lucas_binom_calls(self, monkeypatch, p, e):
+        # The range scan makes 5,544 calls at 2^7, 5,288 at 5^3 and 5,460 at 127.
         calls = []
         monkeypatch.setattr(hermite, "lucas_binom",
                             lambda *args: calls.append(args) or lucas_binom(*args))
         q = p**e
         for alpha in range(q):
             _s_q_terms.__wrapped__(p, q, alpha)
-        assert 0 < len(calls) <= most
+        assert calls == []
+
+    @pytest.mark.parametrize("q", [251, 1021])
+    def test_prime_field_terms_from_exact_binomials(self, q):
+        # One digit: the factorial table alone gives every coefficient.  Each
+        # term's (i, j) is read back from k = -i - jq, its c is checked against
+        # math.comb, and the (i, j) must be every admissible pair, i ascending.
+        order = q * q - 1
+        for alpha in random.Random(q).sample(range(q), 20):
+            comp = q - 1 - alpha
+            pairs = []
+            for l in interval_census(q, alpha).multiples:
+                num = alpha + 1 + l * (q + 1)
+                if num % 3 == 0:
+                    d = num // 3
+                    pairs += [(i, i - d) for i in range(max(0, d), min(alpha, comp + d) + 1)]
+            found = []
+            for c, k in _s_q_terms.__wrapped__(q, q, alpha):
+                j, i = divmod(-k % order, q)
+                assert c == math.comb(alpha, i) * math.comb(comp, j) % q != 0, (q, alpha, i)
+                found.append((i, j))
+            assert found == pairs, (q, alpha)
+
+    def test_largest_prime_field_matches_range_scan(self):
+        q = 4093  # the largest prime q with q^2 within the size bound
+        for alpha in random.Random(q).sample(range(q), 3):
+            assert _s_q_terms.__wrapped__(q, q, alpha) == s_q_terms_oracle(q, q, alpha), alpha
 
 
 def cube_class(ctx):
