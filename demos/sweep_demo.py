@@ -2,9 +2,10 @@
 
 For every prime power q up to a small bound, every nonzero a in F_{q^2} is
 tested three ways: brute-force bijection check, the reduced power-sum
-criterion, and the closed-form classification predicate.  The three must
-agree everywhere, and the nonzero counts land exactly on the q values the
-classification names.
+criterion, and the closed-form classification predicate.  Each test runs
+once per class of a (log a mod (q-1)*gcd(3, q+1)), whose members share
+every verdict.  The three must agree everywhere, and the nonzero counts
+land exactly on the q values the classification names.
 
 Run:  python3 demos/sweep_demo.py [q_max]
 """
@@ -23,7 +24,7 @@ except ValueError as exc:
     sys.exit(EXIT_USAGE)
 
 print(f"prime powers swept: q <= {q_max}")
-print(f"(q, a) pairs tested: {len(result.verdicts)}")
+print(f"(q, a) pairs tested: {result.total_pairs}")
 print()
 print(" q | permutation binomials a*x + x^(3q-2)")
 print("---+--------------------------------------")

@@ -217,7 +217,7 @@ def elimination_pipeline() -> EliminationReport:
 class PPVerdict(NamedTuple):
     """The verdicts on one (q, a): brute force and Hermite (None when not
     asked for) and the predicate.  A named tuple, since the sweep builds one
-    per pair."""
+    per class and ``SweepResult.verdicts`` one per pair."""
 
     q: int
     p: int
@@ -230,16 +230,33 @@ class PPVerdict(NamedTuple):
     @property
     def agree(self) -> bool:
         """Every decider that ran returned the predicate's verdict."""
-        return ((self.brute is None or self.brute == self.predicted)
-                and (self.hermite is None or self.hermite == self.predicted))
+        return {self.brute, self.hermite} - {None} <= {self.predicted}
 
 
 class SweepResult(NamedTuple):
+    """The verdicts of a sweep, one per class of a (see ``sweep``):
+    ``classes[q][key]`` holds those on g^key, which stand for every a with
+    log a = key mod (q-1)*gcd(3, q+1).  ``disagreements`` lists every member
+    of a class that disagrees, ascending in (q, a)."""
+
     q_max: int
     method: str
-    verdicts: List[PPVerdict]
+    classes: Dict[int, List[PPVerdict]]
     pp_counts: Dict[int, int]
     disagreements: List[PPVerdict]
+    total_pairs: int
+
+    def verdicts(self):
+        """The verdicts on every (q, a), ascending in q then a.  Each field
+        is built again when it is reached."""
+        for reps in self.classes.values():
+            yield from _members(make_field(reps[0].p, reps[0].e), reps)
+
+
+def _members(ctx, reps):
+    """The verdicts on every unit a of ctx, ascending: a reads those on
+    reps[log a mod len(reps)], its class's representative."""
+    return (reps[ctx._log[a] % len(reps)]._replace(a=a) for a in ctx.units())
 
 
 def prime_powers(limit: int) -> List[int]:
@@ -263,16 +280,26 @@ def classify(ctx: FieldCtx, a: int, method: str) -> PPVerdict:
     return PPVerdict(ctx.q, ctx.p, ctx.e, a, brute, herm, theorem_predicate(ctx, a))
 
 
-BRUTE_HARD_CAP = 128
+BRUTE_HARD_CAP = 512
 DEFAULT_Q_MAX = 32
 
 
 def sweep(q_max: int = DEFAULT_Q_MAX, method: str = "both") -> SweepResult:
     """Exhaustive comparison of the requested tests against the predicate
-    for every prime power q <= q_max and every nonzero a in F_{q^2}.
+    for every prime power q <= q_max and every nonzero a in F_{q^2}, decided
+    once per class of a.
+
+    Classes.  f_a(lx) = l^(3q-2) * f_b(x) with b = a * l^(3-3q), so f_a and
+    f_b permute together (the x*h(x^(q-1)) form of Zieve, IJNT 2009).  The
+    powers l^(3-3q) form the subgroup of index M = gcd(3(q-1), q^2-1) =
+    (q-1)*gcd(3, q+1), so the verdicts depend on a only through
+    key = log a mod M, a class of P = (q+1)/gcd(3, q+1) elements.  So does
+    the predicate: it reads a only through a^P, since every sporadic
+    exponent and the family's (q+1)/3 equal P.  The deciders and the
+    predicate run once per class, on g^key, and each class counts P times.
 
     Includes q with 3 not dividing q+1 and q = 3^e, where no permutation is
-    expected.  Output order is canonical: ascending q, then a.
+    expected.  Output order is canonical: ascending q, then key or a.
     """
     if method not in ("brute", "hermite", "both"):
         raise ValueError(f"unknown method {method!r}")
@@ -280,11 +307,12 @@ def sweep(q_max: int = DEFAULT_Q_MAX, method: str = "both") -> SweepResult:
         raise ValueError(f"q_max = {q_max} admits no prime power")
     if q_max > BRUTE_HARD_CAP:
         raise SizeExceeded(f"q_max = {q_max} exceeds the hard cap {BRUTE_HARD_CAP}")
-    result = SweepResult(q_max, method, [], {}, [])
+    classes, counts, disagreements = {}, {}, []
     for q in prime_powers(q_max):
-        ctx = make_field(*_factor_prime_power(q))
-        verdicts = [classify(ctx, a, method) for a in ctx.units()]
-        result.verdicts.extend(verdicts)
-        result.pp_counts[q] = sum(1 for v in verdicts if v.predicted)
-        result.disagreements.extend(v for v in verdicts if not v.agree)
-    return result
+        ctx, d = make_field(*_factor_prime_power(q)), math.gcd(3, q + 1)
+        reps = classes[q] = [classify(ctx, ctx._exp[key], method) for key in range((q - 1) * d)]
+        counts[q] = (q + 1) // d * sum(v.predicted for v in reps)
+        if not all(v.agree for v in reps):  # only then is each a visited
+            disagreements += (v for v in _members(ctx, reps) if not v.agree)
+    return SweepResult(q_max, method, classes, counts, disagreements,
+                       sum(q * q - 1 for q in classes))

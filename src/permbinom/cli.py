@@ -122,16 +122,16 @@ def cmd_verify(args):
     res = classify.sweep(q_max=max_q, method=args.method)
     counts = {str(q): c for q, c in sorted(res.pp_counts.items())}
     lines = [
-        f"swept {len(res.verdicts)} (q, a) pairs for prime powers q <= {max_q}",
+        f"swept {res.total_pairs} (q, a) pairs for prime powers q <= {max_q}",
         "pp counts per q: " + ", ".join(f"{q}:{c}" for q, c in counts.items() if c),
         f"{len(res.disagreements)} disagreements",
     ]
     if args.verdicts:  # streamed: --max-q 128 has 201,293 of them
-        lines = itertools.chain((json.dumps(_verdict(v), sort_keys=True) for v in res.verdicts),
+        lines = itertools.chain((json.dumps(_verdict(v), sort_keys=True) for v in res.verdicts()),
                                 lines)
     results = {"q_max": max_q, "method": args.method, "pp_counts": counts,
                "disagreements": [_verdict(v) for v in res.disagreements],
-               "total_pairs": len(res.verdicts)}
+               "total_pairs": res.total_pairs}
     return {"max_q": max_q, "method": args.method}, results, lines, not res.disagreements
 
 

@@ -3,7 +3,8 @@ coefficient vector, addition and negation digit by digit, multiplication of
 coefficient polynomials modulo the field's modulus, the generator's powers
 by Horner's rule on its digits, the point-by-point brute-force scan of the
 binomial map, its literal power sums, the Lemma 3.1 power-sum profile, the
-partition of the units by a^((q+1)/3), the copy of F_q inside F_{q^2},
+partition of the units by a^((q+1)/3), the sweep with every (q, a)
+decided on its own, the copy of F_q inside F_{q^2},
 S_q(alpha, a) with its terms rebuilt on every call and added by
 ``FieldCtx.add``, exact integer polynomial evaluation, the bracket
 polynomial and g_alpha in Fractions with a long division over Q, and the
@@ -19,7 +20,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from permbinom.ffield import FieldCtx, fp_mulmod, is_primitive_cube_root
+from permbinom.classify import PPVerdict, _factor_prime_power, classify, prime_powers
+from permbinom.ffield import FieldCtx, fp_mulmod, is_primitive_cube_root, make_field
 from permbinom.hermite import BinomialMap, PreconditionViolated, interval_census, lucas_binom
 from permbinom.symalg import NotDivisible, fp_trim, poly_degree
 
@@ -373,6 +375,17 @@ def coset_classes(ctx: FieldCtx) -> List[Tuple[int, ...]]:
     for a in ctx.units():
         buckets.setdefault(ctx.pow(a, k), []).append(a)
     return [tuple(sorted(members)) for _, members in sorted(buckets.items())]
+
+
+def sweep_per_pair(q_max: int, method: str) -> List[PPVerdict]:
+    """The verdicts of ``classify.classify`` on every (q, a) with q a prime
+    power <= q_max, each pair decided on its own, ascending in q then a
+    (``classify.sweep``'s oracle: it decides once per class)."""
+    verdicts = []
+    for q in prime_powers(q_max):
+        ctx = make_field(*_factor_prime_power(q))
+        verdicts.extend(classify(ctx, a, method) for a in ctx.units())
+    return verdicts
 
 
 def subfield_q_members(ctx: FieldCtx) -> set:

@@ -43,7 +43,7 @@ from printed_polynomials import (
 FIXTURES = {2: G2, 5: G5, 8: G8, 11: G11, 14: G14}
 FIELD_FOR_Q = {
     2: (2, 1), 5: (5, 1), 8: (2, 3), 11: (11, 1), 17: (17, 1),
-    23: (23, 1), 29: (29, 1), 32: (2, 5), 128: (2, 7),
+    23: (23, 1), 29: (29, 1), 32: (2, 5), 512: (2, 9),
 }
 
 _ctx_cache = {}
@@ -180,7 +180,7 @@ def test_criterion_5_hermite_oracle_equivalence():
     with checkpoint("criterion 5: hermite == brute for q <= 13", 30):
         result = sweep(13, method="both")
         assert result.disagreements == []
-        assert all(v.hermite == v.brute for v in result.verdicts)
+        assert all(v.hermite == v.brute for v in result.verdicts())
 
 
 def test_criterion_6_power_sum_identity():
@@ -257,16 +257,16 @@ def test_criterion_9_full_scale_honesty():
     with checkpoint("criterion 9: scale boundary", 5):
         # The infinite family cannot be certified for arbitrary k by
         # computation; the substitute is the property suite above plus
-        # exhaustive sweeps up to the cap (permbinom verify --max-q 128).
-        # Here we pin the boundary: the cap admits 128 and refuses anything
+        # exhaustive sweeps up to the cap (permbinom verify --max-q 512).
+        # Here we pin the boundary: the cap admits 512 and refuses anything
         # larger.
-        assert BRUTE_HARD_CAP == 128
+        assert BRUTE_HARD_CAP == 512
         with pytest.raises(SizeExceeded):
-            sweep(129)
-        # the whole family at its largest member under the cap, q = 2^7
-        ctx = field_for(128)
-        members = [a for a in ctx.units() if is_primitive_cube_root(ctx, ctx.pow(a, 43))]
-        assert len(members) == 86
+            sweep(513)
+        # the whole family at its largest member under the cap, q = 2^9
+        ctx = field_for(512)
+        members = [a for a in ctx.units() if is_primitive_cube_root(ctx, ctx.pow(a, 171))]
+        assert len(members) == 342
         for a in members:
             assert brute_pp_test(ctx, a) and hermite_pp_test(ctx, a)
 

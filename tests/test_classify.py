@@ -1,4 +1,6 @@
 import json
+import math
+from pathlib import Path
 
 import pytest
 
@@ -17,11 +19,11 @@ from permbinom.classify import (
     sweep,
     theorem_predicate,
 )
-from permbinom.ffield import SizeExceeded
-from permbinom.hermite import brute_pp_test
+from permbinom.ffield import FieldCtx, SizeExceeded, make_field
+from permbinom.hermite import BinomialMap, brute_pp_test
 from permbinom.symalg import FactorResult, eval_mod_p, g_poly, gcd_mod_p, roots_mod_p
 
-from oracles import coset_classes
+from oracles import coset_classes, sweep_per_pair
 from printed_polynomials import G2, G5, G8, G11, G14
 
 EXPECTED_COUNTS = {2: 2, 5: 10, 8: 15, 11: 16, 17: 12, 23: 8, 29: 10, 32: 22}
@@ -209,7 +211,7 @@ class TestSweep:
 
     def test_verdict_agree_and_json(self, capsys):
         # cli renders a verdict; --verdicts streams it as one sorted JSON line.
-        v = sweep(5, method="both").verdicts[0]
+        v = next(sweep(5, method="both").verdicts())
         assert v.agree and set(cli._verdict(v)) == {"q", "p", "e", "a", "brute", "hermite",
                                                      "predicted", "agree"}
         assert cli.run(["verify", "--max-q", "5", "--verdicts"]) == 0
@@ -231,7 +233,7 @@ class TestSweep:
 
     def test_single_method_leaves_other_none(self):
         result = sweep(5, method="hermite")
-        assert all(v.brute is None and v.hermite is not None for v in result.verdicts)
+        assert all(v.brute is None and v.hermite is not None for v in result.verdicts())
         assert not result.disagreements
 
     def test_summary_shape(self, capsys):
@@ -243,7 +245,7 @@ class TestSweep:
 
     def test_results_share_no_mutable_field(self):
         a, b = sweep(8, method="brute"), sweep(8, method="brute")
-        for name in ("verdicts", "pp_counts", "disagreements"):
+        for name in ("classes", "pp_counts", "disagreements"):
             assert getattr(a, name) is not getattr(b, name), name
 
     def test_bad_method(self):
@@ -252,7 +254,7 @@ class TestSweep:
 
     def test_hard_cap(self):
         with pytest.raises(SizeExceeded):
-            sweep(129)
+            sweep(513)
 
     @pytest.mark.parametrize("q_max", [1, 0, -7])
     def test_no_prime_power_below_bound(self, q_max):
@@ -280,3 +282,113 @@ class TestCosetClasses:
     def test_rejects_bad_q(self, fields):
         with pytest.raises(ValueError):
             coset_classes(fields(3, 1))
+
+
+def period(q):
+    """P = (q+1)/gcd(3, q+1), the size of one class of a."""
+    return (q + 1) // math.gcd(3, q + 1)
+
+
+class TestClassSweep:
+    """The sweep decides once per class of log a mod M = (q-1)*gcd(3, q+1);
+    these pin the lemmas it rests on and compare it with every pair decided
+    on its own."""
+
+    def test_exponents_are_the_period(self):
+        # Every sporadic exponent, and the family's (q+1)/3 at q = 2^odd.
+        assert all(row.exponent == period(row.q) for row in SPORADIC_TABLE)
+        assert all((2**k + 1) // 3 == period(2**k) for k in range(1, 24, 2))
+
+    @pytest.mark.parametrize("q", [2, 5, 8, 11, 17, 23, 29, 32])
+    def test_predicate_reads_only_a_to_the_period(self, fields, monkeypatch, q):
+        ctx = fields(*classify._factor_prime_power(q))
+        exponents, real = set(), FieldCtx.pow
+        monkeypatch.setattr(FieldCtx, "pow",
+                            lambda self, a, k: exponents.add(k) or real(self, a, k))
+        for a in ctx.units():
+            theorem_predicate(ctx, a)
+        assert exponents == {period(q)}
+
+    @staticmethod
+    def assert_scaling(ctx, a, lam):
+        # f_a(lam*x) = lam^(3q-2) * f_b(x) with b = a * lam^(3-3q), at every x.
+        q = ctx.q
+        f, f_b = BinomialMap(ctx, a), BinomialMap(ctx, ctx.mul(a, ctx.pow(lam, 3 - 3 * q)))
+        scale = ctx.pow(lam, 3 * q - 2)
+        for x in ctx.elements():
+            assert f(ctx.mul(lam, x)) == ctx.mul(scale, f_b(x)), (q, a, lam, x)
+
+    @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1)])
+    def test_scaling_identity_every_lambda(self, fields, p, e):
+        ctx = fields(p, e)
+        for a in ctx.units():
+            for lam in ctx.units():
+                self.assert_scaling(ctx, a, lam)
+
+    @pytest.mark.parametrize("p,e", [(7, 1), (2, 3), (3, 2), (2, 4)])
+    def test_scaling_identity_by_generator(self, fields, p, e):
+        ctx = fields(p, e)
+        for a in ctx.units():
+            self.assert_scaling(ctx, a, ctx.generator)
+
+    @pytest.mark.parametrize("q_max,method", [(64, "both"), (16, "brute"), (16, "hermite")])
+    def test_expansion_matches_per_pair_oracle(self, q_max, method):
+        # q <= 64 holds both 3 | q+1 (2, 5, 8, ...) and 3 not dividing q+1
+        # (3, 4, 7, 9, ...), where the classes have q+1 members.
+        result, oracle = sweep(q_max, method), sweep_per_pair(q_max, method)
+        assert list(result.verdicts()) == oracle
+        assert result.total_pairs == len(oracle)
+        assert result.pp_counts == {q: sum(v.predicted for v in oracle if v.q == q)
+                                    for q in prime_powers(q_max)}
+        assert result.disagreements == [v for v in oracle if not v.agree] == []
+        for q, reps in result.classes.items():
+            ctx = make_field(*classify._factor_prime_power(q))
+            assert len(reps) * period(q) == q * q - 1
+            assert [v.a for v in reps] == [ctx._exp[key] for key in range(len(reps))]
+
+    def test_verify_decides_once_per_class(self, monkeypatch, capsys):
+        # 501 classes among the 6,135 pairs at q <= 32, one field per q, and
+        # the default path expands no verdict.
+        calls = dict.fromkeys(("make_field", "brute_pp_test", "hermite_pp_test",
+                               "theorem_predicate"), 0)
+
+        def counted(name, fn):
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(classify, name, counted(name, getattr(classify, name)))
+        monkeypatch.setattr(classify.SweepResult, "verdicts", None)
+        assert cli.run(["verify", "--max-q", "32", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["total_pairs"] == 6135
+        assert calls == {"make_field": 18, "brute_pp_test": 501, "hermite_pp_test": 501,
+                         "theorem_predicate": 501}
+
+    @pytest.mark.parametrize("key", [0, 2])  # at q = 5: a = 1 is no PP, a = 14 is one
+    def test_flipped_class_is_listed_whole(self, monkeypatch, capsys, key):
+        # A brute force that is wrong on one class of q = 5 (M = 12, P = 2)
+        # must show every member of it, and nothing else.
+        real = classify.brute_pp_test
+        monkeypatch.setattr(classify, "brute_pp_test", lambda ctx, a: real(ctx, a) != (
+            ctx.q == 5 and ctx._log[a] % 12 == key))
+        ctx = make_field(5, 1)
+        members = sorted(ctx._exp[key::12])
+        result = sweep(8)
+        assert [v.a for v in result.disagreements] == members and len(members) == 2
+        assert all(v.q == 5 and v.brute is not v.predicted and v.hermite is v.predicted
+                   for v in result.disagreements)
+        assert cli.run(["verify", "--max-q", "8", "--json"]) == cli.EXIT_MISMATCH
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["status"] == "fail"
+        assert doc["results"]["disagreements"] == [cli._verdict(v) for v in result.disagreements]
+        # The stream differs from the golden in the members' lines and the count.
+        assert cli.run(["verify", "--max-q", "8", "--verdicts"]) == cli.EXIT_MISMATCH
+        golden = Path(__file__).with_name("golden") / "verify_max-q-8_verdicts.txt"
+        want = golden.read_text().splitlines()
+        for v in result.disagreements:  # q = 5 follows the 3 + 8 + 15 pairs of q = 2, 3, 4
+            assert json.loads(want[25 + v.a])["a"] == v.a
+            want[25 + v.a] = json.dumps(cli._verdict(v), sort_keys=True)
+        want[-1] = "2 disagreements"
+        assert capsys.readouterr().out.splitlines() == want

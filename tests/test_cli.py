@@ -254,7 +254,7 @@ class TestBadInputExitCodes:
         self.assert_usage_error(capsys, cmd, "--q", "5", "--a", "3x", says="a = '3x' is not an integer")
 
     def test_verify_above_hard_cap(self, capsys):
-        self.assert_usage_error(capsys, "verify", "--max-q", "200", says="hard cap")
+        self.assert_usage_error(capsys, "verify", "--max-q", "600", says="hard cap")
 
     @pytest.mark.parametrize("max_q", ["1", "0", "-7"])
     def test_verify_below_smallest_prime_power(self, capsys, max_q):

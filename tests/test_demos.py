@@ -38,7 +38,7 @@ def test_demo_runs(argv):
     (["single_pair_anatomy.py", "1_1^3", "3"], "p of \"p^e\" = '1_1' is not an integer"),
     (["single_pair_anatomy.py", "5", "３"], "a = '３' is not an integer"),
     (["sweep_demo.py", "1_3"], "q_max = '1_3' is not an integer"),
-    (["sweep_demo.py", "200"], "exceeds the hard cap 128"),
+    (["sweep_demo.py", "600"], "exceeds the hard cap 512"),
 ], ids=["underscore-p", "full-width-a", "underscore-q-max", "q-max-above-cap"])
 def test_demo_bad_input_is_usage_error(argv, says):
     # The demos read numbers as the CLI does: one error line and exit 2.
