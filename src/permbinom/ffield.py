@@ -12,7 +12,8 @@ log[x] (-1 at x = 0) and the Zech table zech[k] = log(1 + g^k) (-1 where
 g^k = -1).  Multiplication and powers are log/exp lookups, and a + b =
 a * (1 + b/a) is one Zech lookup, for every p.  exp takes two lookups per
 power: multiplying by g is F_p-linear, so g * (lo + q*hi) is the digit-wise
-sum of two q-entry tables of the products g*lo and g*x^e*hi.
+sum of two q-entry tables, the F_p-spans of the columns g*x^k mod m for
+k < e and for e <= k < 2e.
 
 Polynomials over F_p (``FpPoly``) are ``symalg``'s little-endian lists,
 here of residues mod p.
@@ -23,7 +24,7 @@ from __future__ import annotations
 from array import array
 from typing import Iterator, List
 
-from permbinom.symalg import fp_gcd, fp_mod, fp_trim, is_prime, poly_mul, prime_factors
+from permbinom.symalg import fp_gcd, fp_mod, fp_trim, is_prime, prime_factors
 
 # Hard bound on field size accepted by make_field.  Every accepted field is
 # tabled: exp, log and Zech hold 12 bytes per element, 192 MiB at the bound.
@@ -50,7 +51,20 @@ FpPoly = List[int]
 
 
 def fp_mulmod(f: FpPoly, g: FpPoly, m: FpPoly, p: int) -> FpPoly:
-    return fp_mod(poly_mul(f, g), m, p)
+    """f * g mod m over F_p; m must be monic.  The product is summed over the
+    integers and reduced from the top, and each of its deg m low coefficients
+    is taken mod p once, at the end."""
+    n = len(m) - 1
+    out = [0] * max(n, len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g, i):
+                out[j] += a * b
+    for k in reversed(range(n, len(out))):
+        if c := out[k]:
+            for j, b in enumerate(m, k - n):
+                out[j] -= c * b
+    return fp_trim([c % p for c in out[:n]])
 
 
 def fp_powmod(f: FpPoly, k: int, m: FpPoly, p: int) -> FpPoly:
@@ -66,11 +80,9 @@ def fp_powmod(f: FpPoly, k: int, m: FpPoly, p: int) -> FpPoly:
     return out
 
 
-def _sub_x(f: FpPoly, p: int) -> FpPoly:
-    """f(x) - x over F_p."""
-    r = list(f) + [0] * max(0, 2 - len(f))
-    r[1] = (r[1] - 1) % p
-    return fp_trim(r)
+def _sub_x(f: FpPoly) -> FpPoly:
+    """f(x) - x, left for fp_mod and fp_gcd to reduce mod p."""
+    return [c - (k == 1) for k, c in enumerate(f + [0, 0])]
 
 
 def is_irreducible(m: FpPoly, p: int) -> bool:
@@ -82,8 +94,8 @@ def is_irreducible(m: FpPoly, p: int) -> bool:
 def _rabin(m: FpPoly, p: int, primes: List[int]) -> bool:
     """``is_irreducible`` given the distinct primes r dividing n = deg m."""
     n = len(m) - 1
-    return n > 0 and not fp_mod(_sub_x(fp_powmod([0, 1], p**n, m, p), p), m, p) and all(
-        len(fp_gcd(_sub_x(fp_powmod([0, 1], p**(n // r), m, p), p), m, p)) == 1 for r in primes)
+    return n > 0 and not fp_mod(_sub_x(fp_powmod([0, 1], p**n, m, p)), m, p) and all(
+        len(fp_gcd(_sub_x(fp_powmod([0, 1], p**(n // r), m, p)), m, p)) == 1 for r in primes)
 
 
 def _digits(a: int, p: int, n: int) -> List[int]:
@@ -158,7 +170,7 @@ class FieldCtx:
         self.generator = next(
             g for g in range(self.p, self.q2)
             if all(fp_powmod(list(self.to_coeffs(g)), k, m, self.p) != [1] for k in cofactors))
-        self._exp = array("i", self._generator_powers())
+        self._exp = self._generator_powers()
         log = self._log = array("i", [-1]) * self.q2
         for i, x in enumerate(self._exp):
             log[x] = i
@@ -166,33 +178,48 @@ class FieldCtx:
         p = self.p
         self._zech = array("i", (log[x - x % p + (x + 1) % p] for x in self._exp))
 
-    def _generator_powers(self) -> Iterator[int]:
-        """g^0, ..., g^(q^2 - 2).  v = lo + q*hi with lo, hi < q, and g*v is
-        the digit-wise sum of low[lo] = g*lo and high[hi] = g*x^e*hi, held in
-        radix r: r = 2 for p = 2, where the sum is an XOR, and r = 2p - 1 >
-        2(p - 1) for odd p, where it is one int add with no carry between
-        digits, and ``norm`` maps either half's e digits to its encoding mod p.
+    def _generator_powers(self) -> array:
+        """g^0, ..., g^(q^2 - 2) as an int32 array.  v = lo + q*hi with
+        lo, hi < q, and g*v is the digit-wise sum of low[lo] = g*lo and
+        high[hi] = g*x^e*hi, held in radix r: r = 2 for p = 2, where the sum
+        is an XOR, and r = 2p - 1 > 2(p - 1) for odd p, where it is one int
+        add with no carry between digits, and ``norm`` maps either half's e
+        digits to its encoding mod p.
+
+        Multiplying by g is F_p-linear, so low and high are the F_p-spans of
+        the columns g*x^k mod m for k < e and for e <= k < 2e; each column is
+        the last shifted up and reduced by the monic m.  A table is filled one
+        output digit j at a time: digit j of the combination with index
+        sum(d_k * p^k) is sum(d_k * column_k[j]) mod p, listed in index order
+        one column at a time.  No polynomial is multiplied.
         """
-        p, e, q = self.p, self.e, self.q
-        m, g = list(self.modulus), list(self.to_coeffs(self.generator))
+        p, e, n, q = self.p, self.e, self.n, self.q
         r = 2 if p == 2 else 2 * p - 1
-        halves = [list(self.to_coeffs(u)) for u in range(q)]
-        low, high = ([sum(c * r**k for k, c in enumerate(fp_mulmod(g, shift + h, m, p)))
-                      for h in halves] for shift in ([], [0] * e))
+        col, cols = _digits(self.generator, p, n), []
+        for _ in range(n):  # x * col mod m: shift up, subtract the top digit times m
+            cols.append(col)
+            col = [(a - col[-1] * b) % p for a, b in zip([0] + col, self.modulus[:n])]
+        low, high = [0] * q, [0] * q
+        for tab, span in (low, cols[:e]), (high, cols[e:]):
+            for j, digits in enumerate(zip(*span)):
+                dig, w = [0], r**j
+                for c in digits:
+                    dig = [(v + d * c) % p for d in range(p) for v in dig]
+                tab[:] = [t + v * w for t, v in zip(tab, dig)]
+        exp, acc, mask = array("i", [1]) * (self.q2 - 1), 1, q - 1
         if p == 2:
-            acc = 1
-            for _ in range(self.q2 - 1):
-                yield acc
-                acc = low[acc % q] ^ high[acc // q]
-            return
+            for i in range(1, self.q2 - 1):
+                exp[i] = acc = low[acc & mask] ^ high[acc >> e]
+            return exp
         norm = array("i", [0])
         for k in range(e):
             norm = array("i", (v + d % p * p**k for d in range(r) for v in norm))
         half, lo, hi = r**e, 1, 0
-        for _ in range(self.q2 - 1):
-            yield lo + q * hi
+        for i in range(1, self.q2 - 1):
             s = low[lo] + high[hi]
             lo, hi = norm[s % half], norm[s // half]
+            exp[i] = lo + q * hi
+        return exp
 
     # -- identity --------------------------------------------------------------
 
@@ -227,9 +254,6 @@ class FieldCtx:
         z = self._zech[(self._log[b] - la) % order]
         return 0 if z < 0 else self._exp[(la + z) % order]
 
-    def neg(self, a: int) -> int:
-        return self.mul(a, self.p - 1)
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -242,9 +266,6 @@ class FieldCtx:
                 raise ZeroInverse("negative power of zero")
             return 1 if k == 0 else 0
         return self._exp[self._log[a] * k % (self.q2 - 1)]
-
-    def inv(self, a: int) -> int:
-        return self.pow(a, -1)
 
 
 def make_field(p: int, e: int) -> FieldCtx:

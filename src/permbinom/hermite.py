@@ -147,8 +147,8 @@ def _s_q_terms(p: int, q: int, alpha: int) -> tuple:
     x_k <= alpha_k + comp_k no digit interval is empty.  Digit binomials
     come from ``_factorials``.  The most significant digit is taken first,
     so i ascends within each d, as in a scan of i.
-    Keyed on ints, so the cache keeps no field's tables alive; it holds
-    every alpha of the largest accepted q, 2^12."""
+    Keyed on ints, so the cache keeps no field's tables alive; it serves
+    ``s_q`` and holds every alpha of the largest accepted q, 2^12."""
     order, comp = q * q - 1, q - 1 - alpha
     f, g = _factorials(p)
     terms = []
@@ -178,9 +178,11 @@ def _nonempty_terms(p: int, q: int) -> tuple:
     built so far and a generator that builds, appends and yields the next,
     read as chain(built, more) only as far as a caller needs, by one thread
     at a time; then ``hermite_pp_test``'s verdicts by class key.  Keyed on
-    ints; one field's walk, <= 2^12 lists, and its verdicts are kept."""
+    ints; one field's walk, <= 2^12 lists, and its verdicts are kept.  The
+    lists bypass ``_s_q_terms``'s cache, which would keep the lists of
+    fields that a sweep has left behind."""
     built: list = []
-    lists = (_s_q_terms(p, q, alpha) for alpha in range(q))
+    lists = (_s_q_terms.__wrapped__(p, q, alpha) for alpha in range(q))
     return built, (built.append(terms) or terms for terms in lists if terms), {}
 
 

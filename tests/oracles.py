@@ -21,9 +21,9 @@ from fractions import Fraction
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from permbinom.classify import PPVerdict, _factor_prime_power, classify, prime_powers
-from permbinom.ffield import FieldCtx, fp_mulmod, is_primitive_cube_root, make_field
+from permbinom.ffield import FieldCtx, is_primitive_cube_root, make_field
 from permbinom.hermite import BinomialMap, PreconditionViolated, interval_census, lucas_binom
-from permbinom.symalg import NotDivisible, fp_trim, poly_degree
+from permbinom.symalg import NotDivisible, fp_mod, fp_trim, poly_degree, poly_mul
 
 
 def oracle_add(ctx: FieldCtx, a: int, b: int) -> int:
@@ -39,7 +39,8 @@ def oracle_add(ctx: FieldCtx, a: int, b: int) -> int:
 
 
 def oracle_neg(ctx: FieldCtx, a: int) -> int:
-    """-a by negating base-p digits mod p (``FieldCtx.neg``'s oracle)."""
+    """-a by negating base-p digits mod p; the library has no negation of
+    its own, so the tests negate with this."""
     p = ctx.p
     v, mult = 0, 1
     while a:
@@ -59,9 +60,10 @@ def from_coeffs(ctx: FieldCtx, coeffs: Sequence[int]) -> int:
 
 def oracle_mul(ctx: FieldCtx, a: int, b: int) -> int:
     """a * b by multiplying coefficient polynomials mod the modulus (the
-    oracle of the exp/log tables)."""
+    oracle of the exp/log tables): ``symalg``'s schoolbook product, then its
+    remainder, not ``ffield.fp_mulmod``, whose oracle this is too."""
     fa, fb = list(ctx.to_coeffs(a)), list(ctx.to_coeffs(b))
-    return from_coeffs(ctx, fp_mulmod(fa, fb, list(ctx.modulus), ctx.p))
+    return from_coeffs(ctx, fp_mod(poly_mul(fa, fb), ctx.modulus, ctx.p))
 
 
 def oracle_generator_powers(ctx: FieldCtx) -> Iterator[int]:

@@ -35,7 +35,7 @@ from permbinom.hermite import (
 )
 from permbinom.symalg import eval_mod_p, factor_trial, g_poly, gcd_mod_p, resultant_z
 
-from oracles import lemma31_profile, power_sum
+from oracles import lemma31_profile, oracle_neg, power_sum
 from printed_polynomials import (
     G2, G5, G8, G11, G14, PRINTED_D, PRINTED_GCD, PRINTED_RESIDUES,
 )
@@ -191,8 +191,8 @@ def test_criterion_6_power_sum_identity():
                 for alpha in range(q):
                     s = alpha + (q - 1 - alpha) * q
                     lhs = power_sum(ctx, a, s)
-                    rhs = ctx.neg(
-                        ctx.mul(ctx.pow(a, (alpha + 1) * (1 - q)), s_q(ctx, a, alpha))
+                    rhs = oracle_neg(
+                        ctx, ctx.mul(ctx.pow(a, (alpha + 1) * (1 - q)), s_q(ctx, a, alpha))
                     )
                     assert lhs == rhs
         for q in (17, 23, 29, 32):
@@ -203,8 +203,8 @@ def test_criterion_6_power_sum_identity():
                 alpha = rng.randrange(q)
                 s = alpha + (q - 1 - alpha) * q
                 lhs = power_sum(ctx, a, s)
-                rhs = ctx.neg(
-                    ctx.mul(ctx.pow(a, (alpha + 1) * (1 - q)), s_q(ctx, a, alpha))
+                rhs = oracle_neg(
+                    ctx, ctx.mul(ctx.pow(a, (alpha + 1) * (1 - q)), s_q(ctx, a, alpha))
                 )
                 assert lhs == rhs
 
@@ -242,7 +242,7 @@ def test_criterion_8_numeric_bridge():
                         gval = ctx.add(ctx.mul(gval, yh), ctx.scalar(c))
                     rhs = ctx.mul(
                         ctx.mul(
-                            ctx.pow(ctx.neg(a), (alpha + 1) * q // 3),
+                            ctx.pow(oracle_neg(ctx, a), (alpha + 1) * q // 3),
                             ctx.pow(yh, -3 * alpha - 2),
                         ),
                         ctx.mul(

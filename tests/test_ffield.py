@@ -18,7 +18,7 @@ from permbinom.ffield import (
     make_field,
 )
 from permbinom.hermite import lucas_binom
-from permbinom.symalg import prime_factors
+from permbinom.symalg import fp_mod, is_prime, poly_mul, prime_factors
 
 from conftest import BENCH_FIELDS, FIELDS_16, FIELDS_32, TABLE_FIELDS
 from oracles import (from_coeffs, oracle_add, oracle_generator_powers, oracle_mul,
@@ -130,6 +130,25 @@ class TestFpPowmod:
                 expected = fp_mulmod(expected, f, m, p)
 
 
+class TestFpMulmod:
+    """The fused kernel against symalg's schoolbook product and remainder."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_product_then_remainder(self, n):
+        # Every (p, n) with p^n <= 2^12, for the canonical modulus and a random
+        # monic one; operands run from the zero polynomial and constants to
+        # degree 2n + 1, some with coefficients outside [0, p).
+        rng = random.Random(n)
+        for p in (p for p in range(2, 2**12 + 1) if p**n <= 2**12 and is_prime(p)):
+            for m in (canonical_modulus(p, n), [rng.randrange(p) for _ in range(n)] + [1]):
+                operands = [[], [0], [1], [rng.randrange(1, p)], [p - 1, 0, 0]]
+                operands += [[rng.randrange(p) for _ in range(k)] for k in (n, n + 1, 2 * n + 2)]
+                operands += [[rng.randrange(-p, 2 * p) for _ in range(n + 2)]]
+                for f in operands:
+                    for g in operands:
+                        assert fp_mulmod(f, g, m, p) == fp_mod(poly_mul(f, g), m, p), (f, g, m, p)
+
+
 class TestArithmetic:
     @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (5, 1), (2, 2)])
     def test_field_axioms_exhaustive(self, p, e, fields):
@@ -153,9 +172,6 @@ class TestArithmetic:
             assert ctx.add(ctx.add(a, b), c) == ctx.add(a, ctx.add(b, c))
             assert ctx.mul(ctx.mul(a, b), c) == ctx.mul(a, ctx.mul(b, c))
             assert ctx.mul(a, ctx.add(b, c)) == ctx.add(ctx.mul(a, b), ctx.mul(a, c))
-            assert ctx.add(a, ctx.neg(a)) == 0
-            if a:
-                assert ctx.mul(a, ctx.inv(a)) == 1
 
     def test_f4_mul_forced_by_modulus(self, fields):
         ctx = fields(2, 1)
@@ -244,13 +260,12 @@ class TestCubeRootsAndSubfield:
 
 
 class TestAddAgainstDigits:
-    """Zech-table addition and negation against digit-by-digit oracles."""
+    """Zech-table addition against the digit-by-digit oracle."""
 
     @pytest.mark.parametrize("p,e", FIELDS_16)
     def test_every_pair(self, p, e, fields):
         ctx = fields(p, e)
         for a in ctx.elements():
-            assert ctx.neg(a) == oracle_neg(ctx, a), a
             for b in ctx.elements():
                 assert ctx.add(a, b) == oracle_add(ctx, a, b), (a, b)
 
@@ -261,7 +276,6 @@ class TestAddAgainstDigits:
         for _ in range(2000):
             a, b = rng.randrange(ctx.q2), rng.randrange(ctx.q2)
             assert ctx.add(a, b) == oracle_add(ctx, a, b), (a, b)
-            assert ctx.neg(a) == oracle_neg(ctx, a), a
 
     @pytest.mark.parametrize("p,e", FIELDS_32)
     def test_zech_is_log_of_one_plus(self, p, e, fields):
@@ -338,12 +352,15 @@ class TestTables:
         assert digest == EXP_SHA256[(p, e)]
 
 
-# TABLE_FIELDS plus larger odd-p fields with several digits per half, and 2^9.
-BUILDER_FIELDS = TABLE_FIELDS + [(3, 4), (3, 5), (7, 2), (2, 9)]
+# TABLE_FIELDS plus larger odd-p fields with several digits per half, 2^9,
+# and fields the sweep reaches past q = 32.
+BUILDER_FIELDS = TABLE_FIELDS + [(3, 4), (3, 5), (7, 2), (2, 9), (37, 1), (41, 1), (2, 6),
+                                 (11, 2), (13, 2), (2, 8), (7, 3)]
 
 
 class TestTwoTableBuilder:
-    """The two-table ``_generator_powers`` against the Horner oracle."""
+    """The two-table ``_generator_powers`` against the Horner oracle; its
+    tables are the F_p-spans of the columns g*x^k mod m."""
 
     @pytest.mark.parametrize("p,e", BUILDER_FIELDS)
     def test_tables_match_horner_oracle(self, p, e, fields):
@@ -364,8 +381,8 @@ class TestTwoTableBuilder:
 
     @pytest.mark.parametrize("p,e", [(2, 1), (2, 5), (3, 3), (5, 2), (127, 1), (7, 2)])
     def test_builds_from_2q_products(self, p, e, fields, monkeypatch):
-        # 2q polynomial products fill the two tables; a per-element multiply
-        # would make q^2 - 1 of them.
+        # The two q-entry tables are F_p-spans of shifted columns: the build
+        # multiplies no polynomial, per element or per table entry.
         ctx = fields(p, e)
         calls = []
 
@@ -374,9 +391,9 @@ class TestTwoTableBuilder:
             return fp_mulmod(*args)
 
         monkeypatch.setattr(ffield, "fp_mulmod", counting)
-        powers = list(ctx._generator_powers())
-        assert len(calls) == 2 * ctx.q
-        assert powers == list(ctx._exp)
+        powers = ctx._generator_powers()
+        assert calls == []
+        assert powers == ctx._exp
 
 
 class TestCubeRootLookup:

@@ -30,6 +30,7 @@ from oracles import (
     lemma31_profile,
     oracle_add,
     oracle_mul,
+    oracle_neg,
     power_sum,
     s_q_oracle,
     s_q_terms_oracle,
@@ -109,7 +110,8 @@ class TestPowerSumIdentity:
             for alpha in range(q):
                 s = alpha + (q - 1 - alpha) * q
                 lhs = power_sum(ctx, a, s)
-                rhs = ctx.neg(ctx.mul(ctx.pow(a, (alpha + 1) * (1 - q)), s_q(ctx, a, alpha)))
+                rhs = oracle_neg(ctx, ctx.mul(ctx.pow(a, (alpha + 1) * (1 - q)),
+                                              s_q(ctx, a, alpha)))
                 assert lhs == rhs
 
     @pytest.mark.parametrize("q", [17, 23, 29, 32])
@@ -121,7 +123,7 @@ class TestPowerSumIdentity:
             alpha = rng.randrange(q)
             s = alpha + (q - 1 - alpha) * q
             lhs = power_sum(ctx, a, s)
-            rhs = ctx.neg(ctx.mul(ctx.pow(a, (alpha + 1) * (1 - q)), s_q(ctx, a, alpha)))
+            rhs = oracle_neg(ctx, ctx.mul(ctx.pow(a, (alpha + 1) * (1 - q)), s_q(ctx, a, alpha)))
             assert lhs == rhs
 
 
@@ -144,7 +146,7 @@ class TestSq:
         ctx = fields(3, 1)
         for a in ctx.units():
             val = s_q(ctx, a, 0)
-            assert val == ctx.neg(ctx.pow(a, -3))
+            assert val == oracle_neg(ctx, ctx.pow(a, -3))
             assert val != 0
 
 
@@ -259,14 +261,24 @@ class TestLazyWalk:
         # Every sum below alpha = (q-1)/2 = 62 vanishes, and S_q(62, a) does not.
         assert [s_q(ctx, first, alpha) != 0 for alpha in range(63)] == [False] * 62 + [True]
         built = []
-        real = hermite._s_q_terms
-        monkeypatch.setattr(hermite, "_s_q_terms",
+        real = hermite._s_q_terms.__wrapped__
+        monkeypatch.setattr(hermite._s_q_terms, "__wrapped__",
                             lambda p, q, alpha: built.append((p, q, alpha)) or real(p, q, alpha))
         assert not hermite_pp_test(ctx, first)
         assert built == [(5, 125, alpha) for alpha in range(63)]
         built.clear()
         assert not hermite_pp_test(ctx, second)
         assert built == []
+
+    def test_walk_bypasses_the_term_cache(self, fields, cold_walk):
+        # The walk holds its field's lists itself; the lru cache serves s_q
+        # alone, so a sweep keeps no list of a field it has left.
+        hermite._s_q_terms.cache_clear()
+        ctx = fields(2, 3)
+        assert any(hermite_pp_test(ctx, a) for a in ctx.units())
+        assert hermite._s_q_terms.cache_info().currsize == 0
+        s_q(ctx, 1, 0)
+        assert hermite._s_q_terms.cache_info().currsize == 1
 
     def test_alternating_fields_match_fresh_processes(self, fields, cold_walk):
         ctxs = [fields(2, 5), fields(5, 2)]
@@ -293,20 +305,20 @@ class TestLazyWalk:
         # cube class of 5^3, first decided at alpha = 62, would read as PPs.
         ctx = fields(5, 3)
         members = cube_class(ctx)
-        real = hermite._s_q_terms
+        real = hermite._s_q_terms.__wrapped__
 
         def interrupted(p, q, alpha):
             if alpha == 30:
                 raise KeyboardInterrupt
             return real(p, q, alpha)
 
-        monkeypatch.setattr(hermite, "_s_q_terms", interrupted)
+        monkeypatch.setattr(hermite._s_q_terms, "__wrapped__", interrupted)
         verdicts = hermite._nonempty_terms(5, 125)[2]
         with pytest.raises(KeyboardInterrupt):
             hermite_pp_test(ctx, members[0])
         # The interrupted call stored no verdict, in the memo it read or after.
         assert verdicts == {} and hermite._nonempty_terms(5, 125)[2] == {}
-        monkeypatch.setattr(hermite, "_s_q_terms", real)
+        monkeypatch.setattr(hermite._s_q_terms, "__wrapped__", real)
         assert not any(hermite_pp_test(ctx, a) for a in members)
         assert not any(brute_pp_test(ctx, a) for a in members)
 
@@ -636,7 +648,7 @@ class TestRootCondition:
         ctx = ctx_for_q(fields, q)
         cubes = {ctx.pow(x, 3 * q - 3) for x in ctx.units()}
         for a in ctx.units():
-            assert has_nonzero_root(ctx, a) == (ctx.neg(a) in cubes), (q, a)
+            assert has_nonzero_root(ctx, a) == (oracle_neg(ctx, a) in cubes), (q, a)
 
     @pytest.mark.parametrize("q", PRIME_POWERS_13)
     def test_closed_form_matches_literal_scan(self, fields, q):

@@ -35,6 +35,7 @@ from oracles import (
     gen_binom,
     oracle_bracket,
     oracle_g,
+    oracle_neg,
     oracle_resultant,
     poly_divmod_exact,
     poly_eval,
@@ -144,7 +145,7 @@ class TestNumericBridge:
         alpha = rec.alpha
         yh = ctx.pow(a, q * (q + 1) // 3)
         lhs = s_q(ctx, a, alpha)
-        pre = ctx.pow(ctx.neg(a), (alpha + 1) * q // 3)
+        pre = ctx.pow(oracle_neg(ctx, a), (alpha + 1) * q // 3)
         quad = ctx.add(ctx.add(ctx.mul(yh, yh), yh), 1)
         gval = 0
         for c in reversed(rec.g):
