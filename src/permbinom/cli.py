@@ -149,7 +149,7 @@ def cmd_hermite_profile(args):
     ctx, a, config = _field_and_element(args.q, args.a)
     sums = {alpha: hermite.s_q(ctx, a, alpha) for alpha in range(ctx.q)}
     root_ok = not hermite.has_nonzero_root(ctx, a)
-    is_pp = hermite.hermite(root_ok, sums.values())
+    is_pp = root_ok and all(v == 0 for v in sums.values())
     results = {
         "coefficient_sums": {str(k): v for k, v in sums.items()},
         "only_root_zero": root_ok,

@@ -68,34 +68,35 @@ def fp_mulmod(f: FpPoly, g: FpPoly, m: FpPoly, p: int) -> FpPoly:
 
 
 def fp_powmod(f: FpPoly, k: int, m: FpPoly, p: int) -> FpPoly:
-    """f^k mod m over F_p (k >= 0, deg m >= 1) by square-and-multiply: the
-    Rabin test's x^(p^k) and the generator search, which runs before the
-    field's tables exist."""
-    out: FpPoly = [1]
-    while k:
-        if k & 1:
+    """f^k mod m over F_p (k >= 0, deg m >= 1), left to right: b - 1
+    squarings and w - 1 products by f for a k of b bits and weight w.  Ben-Or's
+    x^p steps and the generator search, which runs before the tables exist."""
+    if k < 2:
+        return fp_mod(f, m, p) if k else [1]
+    out = f
+    for bit in bin(k)[3:]:
+        out = fp_mulmod(out, out, m, p)
+        if bit == "1":
             out = fp_mulmod(out, f, m, p)
-        f = fp_mulmod(f, f, m, p)
-        k >>= 1
     return out
 
 
 def _sub_x(f: FpPoly) -> FpPoly:
-    """f(x) - x, left for fp_mod and fp_gcd to reduce mod p."""
+    """f(x) - x, left for fp_gcd to reduce mod p."""
     return [c - (k == 1) for k, c in enumerate(f + [0, 0])]
 
 
 def is_irreducible(m: FpPoly, p: int) -> bool:
-    """Rabin irreducibility test for a monic polynomial over F_p: m divides
-    x^(p^n) - x, and x^(p^(n/r)) - x is prime to m for each prime r | n."""
-    return len(m) > 1 and _rabin(m, p, prime_factors(len(m) - 1))
-
-
-def _rabin(m: FpPoly, p: int, primes: List[int]) -> bool:
-    """``is_irreducible`` given the distinct primes r dividing n = deg m."""
-    n = len(m) - 1
-    return n > 0 and not fp_mod(_sub_x(fp_powmod([0, 1], p**n, m, p)), m, p) and all(
-        len(fp_gcd(_sub_x(fp_powmod([0, 1], p**(n // r), m, p)), m, p)) == 1 for r in primes)
+    """Ben-Or's test for a monic m of degree n over F_p: m is irreducible iff
+    n >= 1 and gcd(x^(p^i) - x, m) = 1 for i = 1..n/2, since x^(p^i) - x is
+    the product of the monic irreducibles of degree dividing i.  One Frobenius
+    chain y = x^(p^i) mod m, stopped at the first factor of small degree."""
+    y = [0, 1]
+    for _ in range((len(m) - 1) // 2):
+        y = fp_powmod(y, p, m, p)
+        if len(fp_gcd(_sub_x(y), m, p)) > 1:
+            return False
+    return len(m) > 1
 
 
 def _digits(a: int, p: int, n: int) -> List[int]:
@@ -113,12 +114,11 @@ def canonical_modulus(p: int, n: int) -> List[int]:
     Candidates are ordered by the base-p integer value of their lower
     coefficient vector, so the choice is reproducible across runs.  For
     n >= 2, a candidate with a root at 0 (m[0] = 0) or at 1 (sum(m) = 0
-    mod p) has a linear factor, and is skipped before Rabin's test.
+    mod p) has a linear factor, and is skipped before Ben-Or's test.
     """
-    primes = prime_factors(n) if n > 0 else []  # n is fixed: factor it once
     for c in range(p**n):
         m = _digits(c, p, n) + [1]
-        if (n == 1 or m[0] and sum(m) % p) and _rabin(m, p, primes):
+        if (n == 1 or m[0] and sum(m) % p) and is_irreducible(m, p):
             return m
     raise ValueError(f"no irreducible monic polynomial of degree {n} over F_{p}")
 
@@ -170,16 +170,14 @@ class FieldCtx:
         self.generator = next(
             g for g in range(self.p, self.q2)
             if all(fp_powmod(list(self.to_coeffs(g)), k, m, self.p) != [1] for k in cofactors))
-        self._exp = self._generator_powers()
-        log = self._log = array("i", [-1]) * self.q2
-        for i, x in enumerate(self._exp):
-            log[x] = i
+        self._exp, self._log = self._generator_powers()
         # 1 + x changes only digit 0 of x; for x = -1 it is 0, whose log is -1.
-        p = self.p
+        log, p = self._log, self.p
         self._zech = array("i", (log[x - x % p + (x + 1) % p] for x in self._exp))
 
-    def _generator_powers(self) -> array:
-        """g^0, ..., g^(q^2 - 2) as an int32 array.  v = lo + q*hi with
+    def _generator_powers(self) -> tuple:
+        """exp and log as int32 arrays: g^0, ..., g^(q^2 - 2), and log[g^i] =
+        i (-1 at 0), written as the walk steps.  v = lo + q*hi with
         lo, hi < q, and g*v is the digit-wise sum of low[lo] = g*lo and
         high[hi] = g*x^e*hi, held in radix r: r = 2 for p = 2, where the sum
         is an XOR, and r = 2p - 1 > 2(p - 1) for odd p, where it is one int
@@ -206,11 +204,13 @@ class FieldCtx:
                 for c in digits:
                     dig = [(v + d * c) % p for d in range(p) for v in dig]
                 tab[:] = [t + v * w for t, v in zip(tab, dig)]
-        exp, acc, mask = array("i", [1]) * (self.q2 - 1), 1, q - 1
+        exp, log = array("i", [1]) * (self.q2 - 1), array("i", [-1]) * self.q2
+        log[1], acc, mask = 0, 1, q - 1  # log[g^0]; the walk writes the rest
         if p == 2:
             for i in range(1, self.q2 - 1):
                 exp[i] = acc = low[acc & mask] ^ high[acc >> e]
-            return exp
+                log[acc] = i
+            return exp, log
         norm = array("i", [0])
         for k in range(e):
             norm = array("i", (v + d % p * p**k for d in range(r) for v in norm))
@@ -218,8 +218,9 @@ class FieldCtx:
         for i in range(1, self.q2 - 1):
             s = low[lo] + high[hi]
             lo, hi = norm[s % half], norm[s // half]
-            exp[i] = lo + q * hi
-        return exp
+            exp[i] = acc = lo + q * hi
+            log[acc] = i
+        return exp, log
 
     # -- identity --------------------------------------------------------------
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from permbinom.ffield import DEFAULT_SIZE_BOUND, FieldCtx
 
@@ -317,8 +317,3 @@ def hermite_pp_test(ctx: FieldCtx, a: int) -> bool:
             raise
     return verdicts[key]
 
-
-def hermite(only_root_zero: bool, sums: Iterable[int]) -> bool:
-    """The reduced criterion on its evidence: a PP iff 0 is the only root and
-    every S_q(alpha, a) is 0.  A lazy ``sums`` is read only until decided."""
-    return only_root_zero and all(s == 0 for s in sums)

@@ -1,10 +1,11 @@
 """Slow reference computations that only the tests use: the encoding of a
 coefficient vector, addition and negation digit by digit, multiplication of
 coefficient polynomials modulo the field's modulus, the generator's powers
-by Horner's rule on its digits, the point-by-point brute-force scan of the
-binomial map, its literal power sums, the Lemma 3.1 power-sum profile, the
-partition of the units by a^((q+1)/3), the sweep with every (q, a)
-decided on its own, the copy of F_q inside F_{q^2},
+by Horner's rule on its digits, the reducible monic polynomials over F_p
+as every product of two monic factors, the point-by-point brute-force scan
+of the binomial map, its literal power sums, the Lemma 3.1 power-sum
+profile, the partition of the units by a^((q+1)/3), the sweep with every
+(q, a) decided on its own, the copy of F_q inside F_{q^2},
 S_q(alpha, a) with its terms rebuilt on every call and added by
 ``FieldCtx.add``, exact integer polynomial evaluation, the bracket
 polynomial and g_alpha in Fractions with a long division over Q, and the
@@ -98,6 +99,23 @@ def oracle_generator_powers(ctx: FieldCtx) -> Iterator[int]:
         for c in low:
             r = [(s + t + c * v) % p for s, t, v in zip((0, *r), wrap[r[-1]], d)]
         d = r
+
+
+def reducible_monics(p: int, n: int) -> set:
+    """The monic degree-n polynomials over F_p that are a product of two
+    monic polynomials of positive degree, as little-endian coefficient
+    tuples: every product with one factor of degree d <= n/2, multiplied out
+    here (``ffield.is_irreducible``'s oracle)."""
+    out = set()
+    for d in range(1, n // 2 + 1):
+        for f in itertools.product(range(p), repeat=d):
+            for g in itertools.product(range(p), repeat=n - d):
+                prod = [0] * (n + 1)
+                for i, a in enumerate(f + (1,)):
+                    for j, b in enumerate(g + (1,)):
+                        prod[i + j] += a * b
+                out.add(tuple(c % p for c in prod))
+    return out
 
 
 def poly_eval(f: Sequence[int], x: int) -> int:

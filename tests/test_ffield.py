@@ -22,7 +22,12 @@ from permbinom.symalg import fp_mod, is_prime, poly_mul, prime_factors
 
 from conftest import BENCH_FIELDS, FIELDS_16, FIELDS_32, TABLE_FIELDS
 from oracles import (from_coeffs, oracle_add, oracle_generator_powers, oracle_mul,
-                     oracle_neg, subfield_q_members)
+                     oracle_neg, reducible_monics, subfield_q_members)
+
+
+def _monic(c, p, n):
+    """The monic degree-n polynomial whose lower coefficients are c's n base-p digits."""
+    return [c // p**k % p for k in range(n)] + [1]
 
 
 def first_irreducible_by_enumeration(p, n):
@@ -73,13 +78,14 @@ class TestConstruction:
         assert canonical_modulus(p, n) == first_irreducible_by_enumeration(p, n)
 
     @pytest.mark.parametrize("p, n", [(2, 14), (5, 6), (3, 2)])
-    def test_search_factors_degree_once(self, monkeypatch, p, n):
-        # (2, 14) runs Rabin's test on 9 candidates and (5, 6) on 5.
+    def test_search_makes_no_factorization(self, monkeypatch, p, n):
+        # (2, 14) runs Ben-Or's test on 9 candidates and (5, 6) on 5; the test
+        # walks i = 1..n/2, so the degree is never factored.
         calls = []
         monkeypatch.setattr(ffield, "prime_factors",
                             lambda m: calls.append(m) or prime_factors(m))
         assert canonical_modulus(p, n) == first_irreducible_by_enumeration(p, n)
-        assert calls == [n]
+        assert calls == []
 
     def test_no_irreducible_of_degree_zero(self):
         with pytest.raises(ValueError, match="no irreducible monic polynomial of degree 0"):
@@ -104,9 +110,19 @@ class TestConstruction:
             assert is_irreducible(list(ctx.modulus), p)
             assert len(ctx.modulus) == 2 * e + 1 and ctx.modulus[-1] == 1
 
+    # Every monic polynomial of degree 1-8 over F_2, 1-5 over F_3, 1-4 over
+    # F_5 and 1-3 over F_7, against the products of two monic factors.
+    @pytest.mark.parametrize("p, n", [(p, n) for p, top in ((2, 8), (3, 5), (5, 4), (7, 3))
+                                      for n in range(1, top + 1)])
+    def test_irreducible_iff_no_monic_factorization(self, p, n):
+        reducible = reducible_monics(p, n)
+        verdicts = [is_irreducible(_monic(c, p, n), p) for c in range(p**n)]
+        assert verdicts == [tuple(_monic(c, p, n)) not in reducible for c in range(p**n)]
+        assert any(verdicts) and (n == 1) == all(verdicts)
+
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_linear_polynomials_are_irreducible(self, p):
-        # Rabin's first test reduces x mod m, which is a constant for deg m = 1.
+        # Ben-Or's test walks i = 1..deg m // 2, no step at all for deg m = 1.
         assert all(is_irreducible([c, 1], p) for c in range(p))
         assert ffield.canonical_modulus(p, 1) == [0, 1]
 
@@ -116,6 +132,25 @@ class TestConstruction:
 
 class TestFpPowmod:
     """Square-and-multiply against k successive multiplications from 1."""
+
+    @pytest.mark.parametrize("p, m", [(2, [1, 1, 0, 1]), (5, [2, 0, 1])])
+    def test_left_to_right_work(self, monkeypatch, p, m):
+        # b - 1 squarings and w - 1 products for a k of b bits and weight w:
+        # no multiply by 1 and no squaring past the top bit.
+        f = [3, 1, 4, 1, 5]  # unreduced, of degree above deg m
+        f_mod_m, calls = fp_mulmod([1], f, m, p), []
+
+        def counting(*args):
+            calls.append(args)
+            return fp_mulmod(*args)
+
+        monkeypatch.setattr(ffield, "fp_mulmod", counting)
+        assert fp_powmod(f, 0, m, p) == [1] and calls == []
+        assert fp_powmod(f, 1, m, p) == f_mod_m and calls == []
+        for k in range(2, 65):
+            calls.clear()
+            fp_powmod(f, k, m, p)
+            assert len(calls) == k.bit_length() - 1 + bin(k).count("1") - 1, k
 
     @pytest.mark.parametrize("p, m", [(2, [1, 1, 0, 1]), (3, [1, 0, 1]), (5, [2, 0, 1]),
                                       (7, [3, 1, 0, 0, 1]), (2, [0, 1, 1])])
@@ -344,7 +379,9 @@ class TestTables:
         assert any(ctx.to_coeffs(g)[-1] > 1 for g in gens) or p == 2
         for g in gens:
             ctx.generator = g
-            assert steps_by(ctx, list(ctx._generator_powers()), g)
+            exp, log = ctx._generator_powers()
+            assert steps_by(ctx, list(exp), g)
+            assert log[0] == -1 and all(log[x] == i for i, x in enumerate(exp))
 
     @pytest.mark.parametrize("p,e", sorted(EXP_SHA256))
     def test_exp_digest_unchanged(self, p, e, fields):
@@ -391,9 +428,9 @@ class TestTwoTableBuilder:
             return fp_mulmod(*args)
 
         monkeypatch.setattr(ffield, "fp_mulmod", counting)
-        powers = ctx._generator_powers()
+        exp, log = ctx._generator_powers()
         assert calls == []
-        assert powers == ctx._exp
+        assert exp == ctx._exp and log == ctx._log
 
 
 class TestCubeRootLookup:
