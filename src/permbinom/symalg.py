@@ -175,8 +175,9 @@ def _prem_div(a: List[int], b: List[int], d: int) -> List[int]:
     The pseudo-quotient Q comes from the top delta+1 coefficients of a, so
     coefficient j < deg b of the result is x_j = N_j / d with N_j =
     lc(b)^(delta+1) a_j - sum_k Q_k b_(j-k), at most delta+2 products.  In
-    the subresultant sequence d = g h^delta divides every N_j (Brown &
-    Traub), so x_j is taken without a division (Jebelean): with d = 2^t u,
+    the subresultant sequence d, the part of g h^delta prime to 3, divides
+    every N_j (Brown & Traub; see ``resultant_z``), so x_j is taken without
+    a division (Jebelean): with d = 2^t u,
     u odd, and w = 1/u mod 2^(K+t) (by Newton's iteration, negated when
     d < 0), N_j w = 2^t x_j mod 2^(K+t), and its low K+t bits shifted right
     by t are x_j mod 2^K.  The bound: |N_j| < 2^bits, where bits is the
@@ -228,9 +229,30 @@ def _prem_div(a: List[int], b: List[int], d: int) -> List[int]:
 def resultant_z(f: Sequence[int], g: Sequence[int]) -> int:
     """Resultant over Z via the fraction-free subresultant remainder sequence.
 
-    Each remainder is prem(a, b) / (g h^delta), an exact quotient (Brown &
-    Traub, JACM 1971), so ``_prem_div`` takes it 2-adically instead of by
-    ``//``; the sequence, and the resultant, are the same integers.
+    Each remainder is S_(i+1) = prem(S_(i-1), S_i) / (g h^delta), an exact
+    quotient (Brown & Traub, JACM 1971), with g = lc(S_i) and h updated to
+    g^delta / h^(delta-1).  Each S_i is kept as 3^c_i T_i (the inputs with
+    c = 0, each remainder with T_i not divisible by 3 as a polynomial), and
+    g and h as 3^e times a part prime to 3 (g', h'), because the sequence's
+    content is almost all a power of 3: the degree-10 subresultant of
+    Res(g_26, g_29) has 10,900-bit coefficients and the content 3^2304
+    (3,652 bits), and the resultant is -3^3047 times a 7,481-bit cofactor.
+    Splitting the power off narrows the widest operand of ``_prem_div`` for
+    that pair from 12,182 bits to 7,485.
+
+    Exactness: prem(3^c A, 3^c' B) = 3^(c + (delta+1) c') prem(A, B), so
+    with g h^delta = 3^v D', D' = g' h'^delta prime to 3,
+    D' 3^v S_(i+1) = 3^(c_(i-1) + (delta+1) c_i) prem(T_(i-1), T_i).  D'
+    divides the right side and is prime to 3, so it divides
+    prem(T_(i-1), T_i) exactly, and ``_prem_div`` takes that quotient R.
+    Then S_(i+1) = 3^(c_(i-1) + (delta+1) c_i - v) R, and R = 3^k T_(i+1),
+    where k counts the 3s stripped from R.  h' is g'^delta // h'^(delta-1)
+    by the same argument, and h's exponent is delta e_g - (delta-1) e_h.
+    The last S is a remainder 3^c b0 with b0 prime to 3, so the resultant
+    is 3^(c da - e_h (da-1)) b0^da / h'^(da-1), and the exponent is >= 0
+    since the quotient is an integer whose factors b0 and h' are prime to
+    3.  The sequence, and the resultant, are the same integers as with
+    ``//``.
     """
     a = fp_trim([int(c) for c in f])
     b = fp_trim([int(c) for c in g])
@@ -245,7 +267,8 @@ def resultant_z(f: Sequence[int], g: Sequence[int]) -> int:
         if (poly_degree(a) * poly_degree(b)) % 2:
             sign = -sign
         a, b = b, a
-    g_, h = 1, 1
+    ca = cb = e_g = e_h = 0
+    g_ = h = 1
     while True:
         da, db = poly_degree(a), poly_degree(b)
         delta = da - db
@@ -254,14 +277,19 @@ def resultant_z(f: Sequence[int], g: Sequence[int]) -> int:
         rem = _prem_div(a, b, g_ * h**delta)
         if not rem:
             return 0
-        a, b = b, rem
-        g_ = a[-1]
+        c = ca + (delta + 1) * cb - e_g - delta * e_h
+        while all(x % 3 == 0 for x in rem):
+            rem = [x // 3 for x in rem]
+            c += 1
+        a, b, ca, cb = b, rem, cb, c
+        e_g, g_ = _multiplicity(a[-1], 3)
+        e_g += ca
         if delta > 0:
-            h = g_**delta // h ** (delta - 1)
+            e_h, h = delta * e_g - (delta - 1) * e_h, g_**delta // h ** (delta - 1)
         if poly_degree(b) == 0:
             break
     da = poly_degree(a)
-    return sign * b[0] ** da // h ** (da - 1)
+    return sign * 3 ** (cb * da - e_h * (da - 1)) * (b[0] ** da // h ** (da - 1))
 
 
 class FactorResult(NamedTuple):
@@ -312,22 +340,17 @@ def _segment_product(lo: int, hi: int) -> int:
 
 
 def _multiplicity(m: int, p: int) -> Tuple[int, int]:
-    """(k, m / p^k) for the largest k with p^k | m.  m is divided by p, p^2,
-    p^4, ... while they divide it, then by each smaller power once on the way
-    back down: about 2*log2(k) divisions, not k."""
-    k, e, pe, powers = 0, 1, p, []
-    while True:
-        quo, rem = divmod(m, pe)
-        if rem:
-            break
-        m, k = quo, k + e
-        powers.append((pe, e))
-        e, pe = 2 * e, pe * pe
-    for pe, e in reversed(powers):
-        quo, rem = divmod(m, pe)
-        if not rem:
-            m, k = quo, k + e
-    return k, m
+    """(k, m / p^k) for the largest k with p^k | m.  Once p | m, the
+    multiplicity of p^2 in m / p is found the same way, and one more
+    division by p finds whether p divides what is left: m is divided by p,
+    p^2, p^4, ... while they divide it, then by each once more on the way
+    back, about 2*log2(k) divisions, not k."""
+    quo, rem = divmod(m, p)
+    if rem:
+        return 0, m
+    k, m = _multiplicity(quo, p * p)
+    quo, rem = divmod(m, p)
+    return (2 * k + 1, m) if rem else (2 * k + 2, quo)
 
 
 def factor_trial(n: int, bound: int = TRIAL_BOUND) -> FactorResult:
@@ -427,19 +450,11 @@ def roots_mod_p(f: Sequence[int], p: int) -> Tuple[int, ...]:
 
 def poly_str(f: Sequence[int], var: str = "y") -> str:
     """Compact human form, descending: 2y^5+3y^4-23y^3-8y^2-9y+44."""
-    if not fp_trim(list(f)):
-        return "0"
     parts = []
     for k in range(len(f) - 1, -1, -1):
         c = f[k]
-        if c == 0:
-            continue
-        sign = "-" if c < 0 else ("+" if parts else "")
-        mag = abs(c)
-        if k == 0:
-            body = str(mag)
-        else:
-            x = var if k == 1 else f"{var}^{k}"
-            body = x if mag == 1 else f"{mag}{x}"
-        parts.append(sign + body)
-    return "".join(parts)
+        if c:
+            x = "" if k == 0 else var if k == 1 else f"{var}^{k}"
+            mag = "" if x and abs(c) == 1 else str(abs(c))
+            parts.append(("-" if c < 0 else "+" if parts else "") + mag + x)
+    return "".join(parts) or "0"

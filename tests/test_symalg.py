@@ -235,14 +235,15 @@ class TestResultant:
         assert hashlib.sha256(str(r).encode()).hexdigest() == RESULTANT_SHA256[pair]
 
     @staticmethod
-    def remainder_chain(rng, degrees, bits):
+    def remainder_chain(rng, degrees, bits, lead=None):
         """f, g whose remainder sequence over Q has the given degrees, built
         from the last remainder up as p_i = Q_i p_(i+1) + p_(i+2), with
         coefficients of about ``bits`` bits.  Leading coefficients are odd
-        or even, positive or negative."""
+        or even, positive or negative, or drawn by ``lead(rng)`` if given."""
         def rand(deg):
-            lead = rng.choice([-1, 1]) * rng.choice([1, 2, 6, 1 << 40]) * (rng.randrange(1 << bits) | 1)
-            return [rng.randrange(-(1 << bits), 1 << bits) for _ in range(deg)] + [lead]
+            top = lead(rng) if lead else (
+                rng.choice([-1, 1]) * rng.choice([1, 2, 6, 1 << 40]) * (rng.randrange(1 << bits) | 1))
+            return [rng.randrange(-(1 << bits), 1 << bits) for _ in range(deg)] + [top]
 
         later, last = rand(degrees[-2]), rand(degrees[-1])
         for deg in degrees[-3::-1]:
@@ -287,6 +288,79 @@ class TestResultant:
             g = [rng.randrange(-(1 << 200), 1 << 200) for _ in range(rng.randrange(4, len(f)))]
             assert resultant_z(f, g) == oracle_resultant(f, g), (f, g)
         assert any(d % 2 and abs(d).bit_length() > 2000 for d, _ in seen)
+
+    @staticmethod
+    def spy_on_prem_div(monkeypatch):
+        """Record, for each ``_prem_div`` call, the divisor, the degree gap,
+        the widest operand coefficient, whether 3 divides lc(b), and
+        whether 3 divides every coefficient of the result."""
+        seen = []
+        kernel = symalg._prem_div
+
+        def spy(a, b, d):
+            rem = kernel(a, b, d)
+            seen.append((d, len(a) - len(b), max(abs(x).bit_length() for x in a + b),
+                         b[-1] % 3 == 0, all(x % 3 == 0 for x in rem)))
+            return rem
+
+        monkeypatch.setattr(symalg, "_prem_div", spy)
+        return seen
+
+    def test_powers_of_3_in_content_and_leads(self, monkeypatch):
+        # Each remainder is kept as 3^c T with T not divisible by 3, and
+        # each divisor passed to _prem_div is the part of g h^delta prime to
+        # 3.  Four families stress that bookkeeping: f 3^i and g 3^j, 3-free
+        # polynomials whose leading coefficients are divisible by 3^k,
+        # remainder chains with gaps delta >= 2 whose leading coefficients
+        # are powers of 3, and pairs with a common factor.
+        seen = self.spy_on_prem_div(monkeypatch)
+        rng = random.Random(29)
+
+        def rand(deg, bits):
+            return [rng.randrange(-(1 << bits), 1 << bits) for _ in range(deg)] + [rng.choice([-1, 1])]
+
+        def check(f, g):
+            r = resultant_z(f, g)
+            oracle = sylvester_resultant if max(len(f), len(g)) <= 7 else oracle_resultant
+            assert r == oracle(f, g), (f, g)
+            assert resultant_z(g, f) == (-1) ** ((len(f) - 1) * (len(g) - 1)) * r
+            return r
+
+        for _ in range(12):
+            f, g = rand(rng.randrange(1, 9), 30), rand(rng.randrange(1, 9), 30)
+            i, j = rng.randrange(13), rng.randrange(13)
+            r = check([3**i * x for x in f], [3**j * x for x in g])
+            assert r == 3 ** (i * (len(g) - 1) + j * (len(f) - 1)) * resultant_z(f, g)
+        for _ in range(12):
+            f, g = rand(rng.randrange(2, 9), 40), rand(rng.randrange(2, 9), 40)
+            f[0], g[0] = 3 * f[0] + 1, 3 * g[0] + 2
+            f[-1] *= 3 ** rng.randrange(1, 30)
+            g[-1] *= 3 ** rng.randrange(30) * (rng.randrange(1 << 20) | 1)
+            check(f, g)
+        start = len(seen)
+        for _ in range(12):
+            degrees = sorted(rng.sample(range(14), rng.randrange(3, 7)), reverse=True)
+            f, g = self.remainder_chain(rng, degrees, 60,
+                                        lead=lambda r: r.choice([-1, 1]) * 3 ** r.randrange(1, 25))
+            check(f, g)
+        assert any(delta >= 2 for _, delta, *_ in seen[start + 1:])
+        for _ in range(6):
+            common = [rng.randrange(-10**9, 10**9) for _ in range(rng.randrange(1, 4))] + [3 ** rng.randrange(8)]
+            f, g = rand(rng.randrange(1, 7), 50), rand(rng.randrange(1, 7), 50)
+            assert check(poly_mul(f, common), poly_mul(g, [3**5 * x for x in common])) == 0
+        # Some lc(b) and the content of some remainder were divisible by 3.
+        assert all(d % 3 for d, *_ in seen)
+        assert any(lead3 for *_, lead3, _ in seen) and any(rem3 for *_, rem3 in seen)
+
+    def test_g26_g29_operands_stay_narrow(self, monkeypatch):
+        # Res(g_26, g_29) = -3^3047 times a 7,481-bit cofactor.  With the
+        # power of 3 kept as an exponent, no divisor is divisible by 3 and no
+        # operand coefficient reaches 8,000 bits (12,182 when S_i carried it).
+        seen = self.spy_on_prem_div(monkeypatch)
+        r = resultant_z(list(g_poly(26).g), list(g_poly(29).g))
+        assert hashlib.sha256(str(r).encode()).hexdigest() == RESULTANT_SHA256["26,29"]
+        assert all(d % 3 for d, *_ in seen)
+        assert max(width for _, _, width, *_ in seen) < 8000
 
 
 class TestFactorTrial:
