@@ -54,13 +54,13 @@ class SporadicSpec(NamedTuple):
     factors: Tuple[Tuple[int, ...], ...]
 
 
-SPORADIC_TABLE: Tuple[SporadicSpec, ...] = (
-    SporadicSpec(q=5, exponent=2, factors=((1, 1), (2, 1), (-2, 1), (1, -1, 1))),
-    SporadicSpec(q=8, exponent=3, factors=((1, 0, 1, 1),)),
-    SporadicSpec(q=11, exponent=4, factors=((-5, 1), (2, 1), (1, -1, 1))),
-    SporadicSpec(q=17, exponent=6, factors=((-4, 1), (-5, 1))),
-    SporadicSpec(q=23, exponent=8, factors=((1, 1),)),
-    SporadicSpec(q=29, exponent=10, factors=((3, 1),)),
+SPORADIC_TABLE: Tuple[SporadicSpec, ...] = (  # (q, exponent, factors)
+    SporadicSpec(5, 2, ((1, 1), (2, 1), (-2, 1), (1, -1, 1))),
+    SporadicSpec(8, 3, ((1, 0, 1, 1),)),
+    SporadicSpec(11, 4, ((-5, 1), (2, 1), (1, -1, 1))),
+    SporadicSpec(17, 6, ((-4, 1), (-5, 1))),
+    SporadicSpec(23, 8, ((1, 1),)),
+    SporadicSpec(29, 10, ((3, 1),)),
 )
 
 CENSUS_TARGETS = (2, 5, 8, 11, 17, 23, 29, 32)
@@ -198,15 +198,10 @@ def elimination_pipeline() -> EliminationReport:
             conclusion = f"no shared root mod {p}; only q = {p} remains"
         else:
             conclusion = f"every shared root mod {p} is killed; only q = {p} remains"
-        chains[p] = ChainResult(p=p, shared=shared, gcd=gcd, roots=roots, evaluations=evaluations,
-                                conclusion=conclusion, candidate_qs=() if roots == (0,) else (p,))
-    return EliminationReport(
-        resultant=res,
-        factorization=fact,
-        surviving_primes=survivors,
-        chains=chains,
-        candidate_qs=tuple(sorted(q for c in chains.values() for q in c.candidate_qs)),
-    )
+        chains[p] = ChainResult(p, shared, gcd, roots, evaluations, conclusion,
+                                () if roots == (0,) else (p,))
+    return EliminationReport(res, fact, survivors, chains,
+                             tuple(sorted(q for c in chains.values() for q in c.candidate_qs)))
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +231,9 @@ class PPVerdict(NamedTuple):
 class SweepResult(NamedTuple):
     """The verdicts of a sweep, one per class of a (see ``sweep``):
     ``classes[q][key]`` holds those on g^key, which stand for every a with
-    log a = key mod (q-1)*gcd(3, q+1).  ``disagreements`` lists every member
-    of a class that disagrees, ascending in (q, a)."""
+    log a = key mod (q-1)*gcd(3, q+1), decided once per Frobenius orbit of
+    keys.  ``disagreements`` lists every member of a class that disagrees,
+    ascending in (q, a)."""
 
     q_max: int
     method: str
@@ -287,7 +283,7 @@ DEFAULT_Q_MAX = 32
 def sweep(q_max: int = DEFAULT_Q_MAX, method: str = "both") -> SweepResult:
     """Exhaustive comparison of the requested tests against the predicate
     for every prime power q <= q_max and every nonzero a in F_{q^2}, decided
-    once per class of a.
+    once per Frobenius orbit of classes of a.
 
     Classes.  f_a(lx) = l^(3q-2) * f_b(x) with b = a * l^(3-3q), so f_a and
     f_b permute together (the x*h(x^(q-1)) form of Zieve, IJNT 2009).  The
@@ -295,8 +291,18 @@ def sweep(q_max: int = DEFAULT_Q_MAX, method: str = "both") -> SweepResult:
     (q-1)*gcd(3, q+1), so the verdicts depend on a only through
     key = log a mod M, a class of P = (q+1)/gcd(3, q+1) elements.  So does
     the predicate: it reads a only through a^P, since every sporadic
-    exponent and the family's (q+1)/3 equal P.  The deciders and the
-    predicate run once per class, on g^key, and each class counts P times.
+    exponent and the family's (q+1)/3 equal P.  Each class counts P times.
+
+    Orbits.  f_{a^p}(x^p) = f_a(x)^p, and x -> x^p permutes F_{q^2}, so f_a
+    and f_{a^p} permute together.  So does the predicate: p-th powers keep a
+    primitive cube root of unity primitive (p != 3 where 3 | q+1), and a
+    sporadic factor, with coefficients in the prime field, vanishes at y^p
+    iff it vanishes at y.  As M divides q^2 - 1, a -> a^p maps key to
+    p*key mod M, a permutation since p is prime to M.  Keys are walked in
+    ascending order; the deciders and the predicate run on g^key for the
+    least key of each orbit, and every key k of that orbit (k -> p*k mod M)
+    gets those verdicts with a = g^k.  At q <= 32 that is 286 decisions for
+    501 classes, at 128 2,834 for 4,613, at 512 35,462 for 50,791.
 
     Includes q with 3 not dividing q+1 and q = 3^e, where no permutation is
     expected.  Output order is canonical: ascending q, then key or a.
@@ -310,7 +316,13 @@ def sweep(q_max: int = DEFAULT_Q_MAX, method: str = "both") -> SweepResult:
     classes, counts, disagreements = {}, {}, []
     for q in prime_powers(q_max):
         ctx, d = make_field(*_factor_prime_power(q)), math.gcd(3, q + 1)
-        reps = classes[q] = [classify(ctx, ctx._exp[key], method) for key in range((q - 1) * d)]
+        reps = classes[q] = [None] * ((q - 1) * d)
+        for key, v in enumerate(reps):  # v is read after every smaller key's orbit is filled
+            if v is None:  # the least key of its orbit: decide it, then fill the orbit
+                v, k = classify(ctx, ctx._exp[key], method), key
+                while reps[k] is None:
+                    reps[k] = v._replace(a=ctx._exp[k])
+                    k = k * ctx.p % len(reps)
         counts[q] = (q + 1) // d * sum(v.predicted for v in reps)
         if not all(v.agree for v in reps):  # only then is each a visited
             disagreements += (v for v in _members(ctx, reps) if not v.agree)

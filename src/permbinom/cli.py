@@ -245,56 +245,55 @@ def cmd_pipeline(args):
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+_Q, _A = ("--q", {"required": True}), ("--a", {"required": True})
+
+# name: (function, help, options); each subcommand also takes --json.
+COMMANDS = {
+    "verify": (cmd_verify, "exhaustive sweep: brute/hermite vs predicate", [
+        ("--max-q", {"default": str(classify.DEFAULT_Q_MAX), "dest": "max_q"}),
+        ("--method", {"choices": ["brute", "hermite", "both"], "default": "both"}),
+        ("--verdicts", {"action": "store_true", "help": "also stream one JSON line per (q, a)"})]),
+    "check": (cmd_check, "single (q, a) verdict", [
+        ("--q", {"required": True, "help": 'base field as "p^e", e.g. 2^3'}),
+        ("--a", {"required": True, "help": "element encoding (base-p integer)"})]),
+    "hermite-profile": (cmd_hermite_profile, "coefficient sums S(alpha) for a single (q, a)",
+                        [_Q, _A]),
+    "gpoly": (cmd_gpoly, "print the elimination polynomial g_alpha", [
+        ("--alpha", {"required": True, "help": f"2 mod 3, 2 to {GPOLY_ALPHA_MAX}"})]),
+    "resultant": (cmd_resultant, "resultant of two g polynomials", [
+        ("--left", {"default": "2", "help": f"2 mod 3, 2 to {RESULTANT_ALPHA_MAX}"}),
+        ("--right", {"default": "5", "help": f"2 mod 3, 2 to {RESULTANT_ALPHA_MAX}"}),
+        ("--factor", {"action": "store_true"})]),
+    "gcdchain": (cmd_gcdchain, "gcd(g_2, g_5, g_8) mod p and evaluations", [
+        ("--p", {"required": True, "help": "a prime up to 10^12"})]),
+    "sporadic": (cmd_sporadic, "census of a values for a target q", [_Q]),
+    "pipeline": (cmd_pipeline, "full elimination pipeline", []),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone, which
+    parses that command's argv alike; ``run`` builds only the one it names."""
     parser = _Parser(
         prog="permbinom",
         description="verify the classification of the permutation binomials "
         "a*x + x^(3q-2) over F_{q^2}",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, **kwargs):
-        sp = sub.add_parser(name, **kwargs)
-        sp.add_argument("--json", action="store_true", help="machine-readable output")
-        sp.set_defaults(func=func)
-        return sp
-
-    sp = add("verify", cmd_verify, help="exhaustive sweep: brute/hermite vs predicate")
-    sp.add_argument("--max-q", default=str(classify.DEFAULT_Q_MAX), dest="max_q")
-    sp.add_argument("--method", choices=["brute", "hermite", "both"], default="both")
-    sp.add_argument("--verdicts", action="store_true",
-                    help="also stream one JSON line per (q, a)")
-
-    sp = add("check", cmd_check, help="single (q, a) verdict")
-    sp.add_argument("--q", required=True, help='base field as "p^e", e.g. 2^3')
-    sp.add_argument("--a", required=True, help="element encoding (base-p integer)")
-
-    sp = add("hermite-profile", cmd_hermite_profile,
-             help="coefficient sums S(alpha) for a single (q, a)")
-    sp.add_argument("--q", required=True)
-    sp.add_argument("--a", required=True)
-
-    sp = add("gpoly", cmd_gpoly, help="print the elimination polynomial g_alpha")
-    sp.add_argument("--alpha", required=True, help=f"2 mod 3, 2 to {GPOLY_ALPHA_MAX}")
-
-    sp = add("resultant", cmd_resultant, help="resultant of two g polynomials")
-    sp.add_argument("--left", default="2", help=f"2 mod 3, 2 to {RESULTANT_ALPHA_MAX}")
-    sp.add_argument("--right", default="5", help=f"2 mod 3, 2 to {RESULTANT_ALPHA_MAX}")
-    sp.add_argument("--factor", action="store_true")
-
-    sp = add("gcdchain", cmd_gcdchain, help="gcd(g_2, g_5, g_8) mod p and evaluations")
-    sp.add_argument("--p", required=True, help="a prime up to 10^12")
-
-    sp = add("sporadic", cmd_sporadic, help="census of a values for a target q")
-    sp.add_argument("--q", required=True)
-
-    add("pipeline", cmd_pipeline, help="full elimination pipeline")
+    for name, (func, text, options) in COMMANDS.items():
+        if command in (None, name):
+            sp = sub.add_parser(name, help=text)
+            sp.add_argument("--json", action="store_true", help="machine-readable output")
+            for flag, kwargs in options:
+                sp.add_argument(flag, **kwargs)
+            sp.set_defaults(func=func)
     return parser
 
 
 def run(argv: Optional[List[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
         t0 = time.perf_counter()
         config, results, lines, ok = args.func(args)
     except SystemExit:  # only --help, after printing the help

@@ -1,5 +1,5 @@
-"""Lucas binomials, the sums S_q(alpha, a) and permutation tests for the
-binomial map x -> a*x + x^(3q-2) on F_{q^2}.
+"""The sums S_q(alpha, a) and permutation tests for the binomial map
+x -> a*x + x^(3q-2) on F_{q^2}.
 
 Two independent permutation tests are provided; both stop once the answer
 is known:
@@ -99,25 +99,6 @@ def interval_census(q: int, alpha: int) -> IntervalCensus:
         hi_working=hi,
         multiples=tuple(range(l_min, l_max + 1)),
     )
-
-
-def lucas_binom(p: int, m: int, k: int) -> int:
-    """C(m, k) mod p by base-p digit products.
-
-    Out-of-range k (k < 0 or k > m) gives 0, matching the starred convention
-    of treating binomials at impossible indices as vanishing.
-    """
-    if k < 0 or k > m:
-        return 0
-    r = 1
-    while m or k:
-        mi, ki = m % p, k % p
-        if ki > mi:
-            return 0
-        r = r * math.comb(mi, ki) % p
-        m //= p
-        k //= p
-    return r
 
 
 @functools.lru_cache(maxsize=8)

@@ -7,7 +7,8 @@ of the binomial map, its literal power sums, the Lemma 3.1 power-sum
 profile, the partition of the units by a^((q+1)/3), the sweep with every
 (q, a) decided on its own, the copy of F_q inside F_{q^2},
 S_q(alpha, a) with its terms rebuilt on every call and added by
-``FieldCtx.add``, exact integer polynomial evaluation, the bracket
+``FieldCtx.add``, C(m, k) mod p as Lucas's product of digit binomials,
+exact integer polynomial evaluation, the bracket
 polynomial and g_alpha in Fractions with a long division over Q, and the
 resultant by the fraction-free subresultant sequence with a
 pseudo-remainder and a division per coefficient.  Each is a direct
@@ -23,7 +24,7 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 
 from permbinom.classify import PPVerdict, _factor_prime_power, classify, prime_powers
 from permbinom.ffield import FieldCtx, is_primitive_cube_root, make_field
-from permbinom.hermite import BinomialMap, PreconditionViolated, interval_census, lucas_binom
+from permbinom.hermite import BinomialMap, PreconditionViolated, interval_census
 from permbinom.symalg import NotDivisible, fp_mod, fp_trim, poly_degree, poly_mul
 
 
@@ -248,6 +249,25 @@ def oracle_resultant(f: Sequence[int], g: Sequence[int]) -> int:
             break
     da = poly_degree(a)
     return sign * b[0] ** da // h ** (da - 1)
+
+
+def lucas_binom(p: int, m: int, k: int) -> int:
+    """C(m, k) mod p by base-p digit products.
+
+    Out-of-range k (k < 0 or k > m) gives 0, matching the starred convention
+    of treating binomials at impossible indices as vanishing.
+    """
+    if k < 0 or k > m:
+        return 0
+    r = 1
+    while m or k:
+        mi, ki = m % p, k % p
+        if ki > mi:
+            return 0
+        r = r * math.comb(mi, ki) % p
+        m //= p
+        k //= p
+    return r
 
 
 def s_q_terms_oracle(p: int, q: int, alpha: int) -> tuple:

@@ -20,7 +20,7 @@ from permbinom.classify import (
     theorem_predicate,
 )
 from permbinom.ffield import FieldCtx, SizeExceeded, make_field
-from permbinom.hermite import BinomialMap, brute_pp_test
+from permbinom.hermite import BinomialMap, brute_pp_test, hermite_pp_test
 from permbinom.symalg import FactorResult, eval_mod_p, g_poly, gcd_mod_p, roots_mod_p
 
 from oracles import coset_classes, sweep_per_pair
@@ -331,6 +331,28 @@ class TestClassSweep:
         for a in ctx.units():
             self.assert_scaling(ctx, a, ctx.generator)
 
+    @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3)])
+    def test_frobenius_identity(self, fields, p, e):
+        # f_{a^p}(x^p) = f_a(x)^p at every a and x, evaluated literally.
+        ctx = fields(p, e)
+        for a in ctx.units():
+            f, f_p = BinomialMap(ctx, a), BinomialMap(ctx, ctx.pow(a, p))
+            for x in ctx.elements():
+                assert f_p(ctx.pow(x, p)) == ctx.pow(f(x), p), (ctx.q, a, x)
+
+    @pytest.mark.parametrize("q", prime_powers(32))
+    def test_frobenius_moves_key_and_keeps_verdicts(self, fields, q):
+        # a -> a^p maps key to p*key mod M, and no decider or the predicate
+        # tells a from a^p: the two facts that let the sweep decide once
+        # per orbit of keys.
+        ctx = fields(*classify._factor_prime_power(q))
+        m = (q - 1) * math.gcd(3, q + 1)
+        for a in ctx.units():
+            b = ctx.pow(a, ctx.p)
+            assert ctx._log[b] % m == ctx.p * ctx._log[a] % m, (q, a)
+            for decide in (brute_pp_test, hermite_pp_test, theorem_predicate):
+                assert decide(ctx, b) == decide(ctx, a), (q, a, decide.__name__)
+
     @pytest.mark.parametrize("q_max,method", [(64, "both"), (16, "brute"), (16, "hermite")])
     def test_expansion_matches_per_pair_oracle(self, q_max, method):
         # q <= 64 holds both 3 | q+1 (2, 5, 8, ...) and 3 not dividing q+1
@@ -347,8 +369,9 @@ class TestClassSweep:
             assert [v.a for v in reps] == [ctx._exp[key] for key in range(len(reps))]
 
     def test_verify_decides_once_per_class(self, monkeypatch, capsys):
-        # 501 classes among the 6,135 pairs at q <= 32, one field per q, and
-        # the default path expands no verdict.
+        # 501 classes among the 6,135 pairs at q <= 32 fall into 286 Frobenius
+        # orbits, each decided once; one field per q, and the default path
+        # expands no verdict.
         calls = dict.fromkeys(("make_field", "brute_pp_test", "hermite_pp_test",
                                "theorem_predicate"), 0)
 
@@ -363,20 +386,23 @@ class TestClassSweep:
         monkeypatch.setattr(classify.SweepResult, "verdicts", None)
         assert cli.run(["verify", "--max-q", "32", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["results"]["total_pairs"] == 6135
-        assert calls == {"make_field": 18, "brute_pp_test": 501, "hermite_pp_test": 501,
-                         "theorem_predicate": 501}
+        assert calls == {"make_field": 18, "brute_pp_test": 286, "hermite_pp_test": 286,
+                         "theorem_predicate": 286}
 
     @pytest.mark.parametrize("key", [0, 2])  # at q = 5: a = 1 is no PP, a = 14 is one
     def test_flipped_class_is_listed_whole(self, monkeypatch, capsys, key):
-        # A brute force that is wrong on one class of q = 5 (M = 12, P = 2)
-        # must show every member of it, and nothing else.
+        # A brute force that is wrong on one class of q = 5 (M = 12, P = 2),
+        # the least of its Frobenius orbit (key -> 5*key mod 12), must show
+        # every member of that orbit's classes, and nothing else.
         real = classify.brute_pp_test
         monkeypatch.setattr(classify, "brute_pp_test", lambda ctx, a: real(ctx, a) != (
             ctx.q == 5 and ctx._log[a] % 12 == key))
         ctx = make_field(5, 1)
-        members = sorted(ctx._exp[key::12])
+        orbit = {0: {0}, 2: {2, 10}}[key]
+        members = sorted(a for k in orbit for a in ctx._exp[k::12])
+        assert len(members) == 2 * len(orbit)
         result = sweep(8)
-        assert [v.a for v in result.disagreements] == members and len(members) == 2
+        assert [v.a for v in result.disagreements] == members
         assert all(v.q == 5 and v.brute is not v.predicted and v.hermite is v.predicted
                    for v in result.disagreements)
         assert cli.run(["verify", "--max-q", "8", "--json"]) == cli.EXIT_MISMATCH
@@ -390,5 +416,17 @@ class TestClassSweep:
         for v in result.disagreements:  # q = 5 follows the 3 + 8 + 15 pairs of q = 2, 3, 4
             assert json.loads(want[25 + v.a])["a"] == v.a
             want[25 + v.a] = json.dumps(cli._verdict(v), sort_keys=True)
-        want[-1] = "2 disagreements"
+        want[-1] = f"{len(members)} disagreements"
         assert capsys.readouterr().out.splitlines() == want
+
+    def test_flip_off_the_orbit_representative_needs_the_per_pair_oracle(self, monkeypatch):
+        # The trade of deciding once per orbit: a brute force wrong on class 10
+        # of q = 5 alone, which lies in the orbit of 2 and is never decided, is
+        # invisible to sweep; only the per-pair sweep of tests/oracles.py sees it.
+        real = classify.brute_pp_test
+        monkeypatch.setattr(classify, "brute_pp_test", lambda ctx, a: real(ctx, a) != (
+            ctx.q == 5 and ctx._log[a] % 12 == 10))
+        ctx = make_field(5, 1)
+        result, oracle = sweep(8), sweep_per_pair(8, "both")
+        assert result.disagreements == [] and list(result.verdicts()) != oracle
+        assert [v.a for v in oracle if not v.agree] == sorted(ctx._exp[10::12])

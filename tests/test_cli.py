@@ -13,6 +13,8 @@ import permbinom
 from permbinom import classify, cli, ffield, hermite, symalg
 from permbinom.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, build_parser, run
 
+import oracles
+
 
 def _imported(path):
     """The modules a source file imports; ``from permbinom import x`` gives
@@ -416,9 +418,10 @@ class TestContract:
         assert imports(ffield) == {"symalg"}
         assert imports(hermite) == {"ffield"}
         assert imports(classify) == {"ffield", "hermite", "symalg"}
-        # Lucas binomials live in hermite, their one caller.
-        assert hermite.lucas_binom.__module__ == "permbinom.hermite"
-        assert not hasattr(ffield, "lucas_binom")
+        # Lucas binomials live with the oracles, their one caller; no module
+        # of the package defines them.
+        assert oracles.lucas_binom.__module__ == "oracles"
+        assert not any(hasattr(m, "lucas_binom") for m in (symalg, ffield, hermite, classify, cli))
 
     def test_one_home_for_chains_and_number_text(self):
         # cli formats the table of classify.gcd_chain and names no chain step

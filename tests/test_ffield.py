@@ -17,11 +17,10 @@ from permbinom.ffield import (
     is_primitive_cube_root,
     make_field,
 )
-from permbinom.hermite import lucas_binom
 from permbinom.symalg import fp_mod, is_prime, poly_mul, prime_factors
 
 from conftest import BENCH_FIELDS, FIELDS_16, FIELDS_32, TABLE_FIELDS
-from oracles import (from_coeffs, oracle_add, oracle_generator_powers, oracle_mul,
+from oracles import (from_coeffs, lucas_binom, oracle_add, oracle_generator_powers, oracle_mul,
                      oracle_neg, reducible_monics, subfield_q_members)
 
 
