@@ -9,8 +9,8 @@ it; import names from the modules:
                 polynomials g_alpha, resultants and gcd chains mod p.
 - ``ffield``:   the extension F_{q^2}, built on ``symalg``: its modulus
                 search and its log, exp and Zech tables.
-- ``hermite``:  the binomial map, Lucas binomials, the coefficient sums
-                S_q(alpha, a), the Hermite test and the brute-force oracle.
+- ``hermite``:  the binomial map, the coefficient sums S_q(alpha, a), the
+                Hermite test and the brute-force oracle.
 - ``classify``: the classification predicate, sporadic tables, the elimination
                 pipeline and the exhaustive equivalence sweep.
 

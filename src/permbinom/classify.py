@@ -230,10 +230,10 @@ class PPVerdict(NamedTuple):
 
 class SweepResult(NamedTuple):
     """The verdicts of a sweep, one per class of a (see ``sweep``):
-    ``classes[q][key]`` holds those on g^key, which stand for every a with
-    log a = key mod (q-1)*gcd(3, q+1), decided once per Frobenius orbit of
-    keys.  ``disagreements`` lists every member of a class that disagrees,
-    ascending in (q, a)."""
+    ``classes[q][key]`` holds the verdicts of the least key of its Frobenius
+    orbit, decided on g^(least key), which stand for every a with
+    log a = key mod (q-1)*gcd(3, q+1).  ``disagreements`` lists every
+    member of a class that disagrees, ascending in (q, a)."""
 
     q_max: int
     method: str
@@ -301,7 +301,7 @@ def sweep(q_max: int = DEFAULT_Q_MAX, method: str = "both") -> SweepResult:
     p*key mod M, a permutation since p is prime to M.  Keys are walked in
     ascending order; the deciders and the predicate run on g^key for the
     least key of each orbit, and every key k of that orbit (k -> p*k mod M)
-    gets those verdicts with a = g^k.  At q <= 32 that is 286 decisions for
+    holds that same record.  At q <= 32 that is 286 decisions for
     501 classes, at 128 2,834 for 4,613, at 512 35,462 for 50,791.
 
     Includes q with 3 not dividing q+1 and q = 3^e, where no permutation is
@@ -321,7 +321,7 @@ def sweep(q_max: int = DEFAULT_Q_MAX, method: str = "both") -> SweepResult:
             if v is None:  # the least key of its orbit: decide it, then fill the orbit
                 v, k = classify(ctx, ctx._exp[key], method), key
                 while reps[k] is None:
-                    reps[k] = v._replace(a=ctx._exp[k])
+                    reps[k] = v
                     k = k * ctx.p % len(reps)
         counts[q] = (q + 1) // d * sum(v.predicted for v in reps)
         if not all(v.agree for v in reps):  # only then is each a visited

@@ -4,30 +4,22 @@ x -> a*x + x^(3q-2) on F_{q^2}.
 Two independent permutation tests are provided; both stop once the answer
 is known:
 
-- ``brute_pp_test``: the ground truth, which accounts for every point
-  with no permutation criterion.  It evaluates the first
-  P = (q+1)/gcd(3, q+1) points x = g^k in the log domain, one Zech lookup
-  each and no reduction mod m = q^2 - 1, and returns at a zero or at an
-  image log that repeats an earlier one mod P.  Every later block of P
-  points has the first block's image logs shifted by a multiple of P, and
-  P divides m, so those shifts fill each log's coset mod P: distinct
-  residues mean distinct images everywhere.  A P-byte table holds the
-  residues seen.
+- ``brute_pp_test``: the ground truth, which uses no permutation
+  criterion.  It scans the first period of points in the log domain, one
+  Zech lookup each; its docstring proves that this accounts for every
+  point.
 - ``hermite_pp_test``: the reduced power-sum criterion.  The map permutes
   F_{q^2} iff 0 is its only root and S_q(alpha, a) = 0 for all
   0 <= alpha <= q-1; only the exponents s = alpha + (q-1-alpha)q need
   checking because all other power sums vanish identically.  The root
-  condition is the closed form of ``has_nonzero_root``, one product of
-  log a, and each S_q is summed in the log domain by the one kernel that
-  ``s_q`` also uses, one Zech lookup per term.  Term lists are built digit
-  by digit, and only the nonempty ones are walked.  By Lucas,
-  C(alpha, i) * C(q-1-alpha, j) != 0 mod p iff i <= alpha and
-  j <= q-1-alpha digit by digit.  The digits of alpha and q-1-alpha sum to
-  p-1, so x = i + (q-1-alpha-j) has no carry or borrow; x = q-1-alpha + i-j
-  is fixed by alpha and l, so the i are the product of one digit interval
-  per position of x.
-  The verdict depends on a only through log a mod (q-1)*gcd(3, q+1), so
-  it is decided once per class of that key and then read from a memo.
+  test is the closed form of ``has_nonzero_root`` (Zieve's x*h(x^(q-1))
+  form), and each S_q is summed in the log domain by the kernel that
+  ``s_q`` also uses, over the term list that ``_s_q_terms`` builds digit
+  by digit (the no-carry lemma).  The verdict is decided once per class
+  of log a mod (q-1)*gcd(3, q+1) and then read from a memo.
+
+One cache, ``_field_table``, holds the current field's term lists, a slot
+per alpha, and those verdicts; ``s_q`` and the decider share its slots.
 """
 
 from __future__ import annotations
@@ -35,9 +27,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import NamedTuple
 
-from permbinom.ffield import DEFAULT_SIZE_BOUND, FieldCtx
+from permbinom.ffield import FieldCtx
 
 
 class PreconditionViolated(ValueError):
@@ -66,39 +57,17 @@ class BinomialMap:
         return ctx.add(ctx.mul(self.a, x), ctx.pow(x, self.exponent))
 
 
-class IntervalCensus(NamedTuple):
-    """Multiples of q+1 in the exponent-shift interval of a given alpha.
+def interval_census(q: int, alpha: int) -> range:
+    """All l with l*(q+1) in [2*alpha+2-3q, 2*alpha-1], ascending.
 
     The paper displays the interval's upper end as alpha - 1, but the range
     of -alpha-1+3(i-j) over valid (i, j) is [2*alpha+2-3q, 2*alpha-1];
     that working form is what the census (and all sums built on it) uses.
     """
-
-    q: int
-    alpha: int
-    lo: int
-    hi_working: int
-    multiples: tuple
-
-    @property
-    def count(self) -> int:
-        return len(self.multiples)
-
-
-def interval_census(q: int, alpha: int) -> IntervalCensus:
-    """All l with l*(q+1) in [2*alpha+2-3q, 2*alpha-1]."""
     if not 0 <= alpha <= q - 1:
         raise PreconditionViolated(f"alpha = {alpha} out of range for q = {q}")
     lo, hi = 2 * alpha + 2 - 3 * q, 2 * alpha - 1
-    l_min = -((-lo) // (q + 1))  # ceil(lo / (q+1))
-    l_max = hi // (q + 1)
-    return IntervalCensus(
-        q=q,
-        alpha=alpha,
-        lo=lo,
-        hi_working=hi,
-        multiples=tuple(range(l_min, l_max + 1)),
-    )
+    return range(-(-lo // (q + 1)), hi // (q + 1) + 1)  # ceil(lo/(q+1)) to floor(hi/(q+1))
 
 
 @functools.lru_cache(maxsize=8)
@@ -109,7 +78,6 @@ def _factorials(p: int) -> tuple:
     return f, [pow(x, -1, p) for x in f]
 
 
-@functools.lru_cache(maxsize=math.isqrt(DEFAULT_SIZE_BOUND))
 def _s_q_terms(p: int, q: int, alpha: int) -> tuple:
     """The nonzero terms (c, k) of S_q(alpha, a) = sum of c * a^k, with
     c = C(alpha, i) * C(comp, j) mod p, comp = q-1-alpha, over the <= 3
@@ -127,13 +95,12 @@ def _s_q_terms(p: int, q: int, alpha: int) -> tuple:
     interval gives alpha+1-q <= d <= alpha, so 0 <= x < q, and as
     x_k <= alpha_k + comp_k no digit interval is empty.  Digit binomials
     come from ``_factorials``.  The most significant digit is taken first,
-    so i ascends within each d, as in a scan of i.
-    Keyed on ints, so the cache keeps no field's tables alive; it serves
-    ``s_q`` and holds every alpha of the largest accepted q, 2^12."""
+    so i ascends within each d, as in a scan of i.  Not cached itself: its
+    lists are kept in the slots of ``_field_table``."""
     order, comp = q * q - 1, q - 1 - alpha
     f, g = _factorials(p)
     terms = []
-    for l in interval_census(q, alpha).multiples:
+    for l in interval_census(q, alpha):
         num = alpha + 1 + l * (q + 1)
         if num % 3:
             continue  # no (i, j) pair can satisfy the congruence
@@ -154,17 +121,24 @@ def _s_q_terms(p: int, q: int, alpha: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=1)
-def _nonempty_terms(p: int, q: int) -> tuple:
-    """The nonempty ``_s_q_terms`` lists of (p, q) in alpha order: the list
-    built so far and a generator that builds, appends and yields the next,
-    read as chain(built, more) only as far as a caller needs, by one thread
-    at a time; then ``hermite_pp_test``'s verdicts by class key.  Keyed on
-    ints; one field's walk, <= 2^12 lists, and its verdicts are kept.  The
-    lists bypass ``_s_q_terms``'s cache, which would keep the lists of
-    fields that a sweep has left behind."""
-    built: list = []
-    lists = (_s_q_terms.__wrapped__(p, q, alpha) for alpha in range(q))
-    return built, (built.append(terms) or terms for terms in lists if terms), {}
+def _field_table(p: int, q: int) -> tuple:
+    """The one cache over term lists: q slots, slot alpha holding
+    ``_s_q_terms(p, q, alpha)`` once built and None before, then
+    ``hermite_pp_test``'s verdicts by class key.  Keyed on ints, so it
+    keeps no field's tables alive, and it holds one field: a sweep keeps no
+    list of a field it has left.  A build cut by an exception leaves its
+    slot None, and a cut walk stores no verdict."""
+    return [None] * q, {}
+
+
+def _nonempty(slots: list, p: int, q: int):
+    """The nonempty term lists of (p, q) in alpha order, each slot built
+    when the walk first reaches it."""
+    for alpha, terms in enumerate(slots):
+        if terms is None:
+            terms = slots[alpha] = _s_q_terms(p, q, alpha)
+        if terms:
+            yield terms
 
 
 def _log_sum(terms: tuple, la: int, log, zech, m: int) -> int:
@@ -186,15 +160,21 @@ def _log_sum(terms: tuple, la: int, log, zech, m: int) -> int:
 def s_q(ctx: FieldCtx, a: int, alpha: int) -> int:
     """The coefficient sum S_q(alpha, a): the sum of C(alpha, i) *
     C(q-1-alpha, j) * a^(-i-jq) over all (i, j) with -alpha-1+3(i-j) a
-    multiple of q+1.  The a-free term list is built once per (p, q, alpha)
-    and summed in the log domain by ``_log_sum``.  Stored without the
-    leading minus sign of the power-sum identity (checked against
-    ``power_sum`` in tests/oracles.py).
+    multiple of q+1.  The a-free term list is read from its slot of
+    ``_field_table``, built there on first use, and summed in the log
+    domain by ``_log_sum``.  Stored without the leading minus sign of the
+    power-sum identity (checked against ``power_sum`` in tests/oracles.py).
     """
     if a == 0:
         raise PreconditionViolated("a must be nonzero")
-    log = ctx._log
-    total = _log_sum(_s_q_terms(ctx.p, ctx.q, alpha), log[a], log, ctx._zech, ctx.q2 - 1)
+    p, q, log = ctx.p, ctx.q, ctx._log
+    if not 0 <= alpha < q:  # a negative alpha would index a slot from the end
+        raise PreconditionViolated(f"alpha = {alpha} out of range for q = {q}")
+    slots = _field_table(p, q)[0]
+    terms = slots[alpha]
+    if terms is None:
+        terms = slots[alpha] = _s_q_terms(p, q, alpha)
+    total = _log_sum(terms, log[a], log, ctx._zech, ctx.q2 - 1)
     return 0 if total < 0 else ctx._exp[total]
 
 
@@ -272,8 +252,8 @@ def hermite_pp_test(ctx: FieldCtx, a: int) -> bool:
     for every q.  No case is assumed impossible a priori: for 3 not dividing
     q+1 the sums are still computed whenever 0 is the only root, so the
     divisibility necessity is observed, not hard-coded.  The sums run in
-    alpha order through ``_log_sum`` over the nonempty term lists of
-    ``_nonempty_terms``, built only as far as the first nonzero sum, which
+    alpha order through ``_log_sum`` over the nonempty slots of
+    ``_field_table``, built only as far as the first nonzero sum, which
     decides.
 
     Classes.  A term has i - j = d, 3d = alpha+1 + l(q+1) and k = -i(q+1) + dq
@@ -287,14 +267,10 @@ def hermite_pp_test(ctx: FieldCtx, a: int) -> bool:
         raise PreconditionViolated("a must be nonzero")
     log, zech, m, q = ctx._log, ctx._zech, ctx.q2 - 1, ctx.q
     la = log[a]
-    built, more, verdicts = _nonempty_terms(ctx.p, q)
+    slots, verdicts = _field_table(ctx.p, q)
     key = la % ((q - 1) * math.gcd(3, q + 1))
     if key not in verdicts:
-        try:
-            verdicts[key] = not has_nonzero_root(ctx, a) and all(
-                _log_sum(terms, la, log, zech, m) < 0 for terms in itertools.chain(built, more))
-        except BaseException:  # a walk cut inside its generator cannot resume
-            _nonempty_terms.cache_clear()
-            raise
+        verdicts[key] = not has_nonzero_root(ctx, a) and all(
+            _log_sum(terms, la, log, zech, m) < 0 for terms in _nonempty(slots, ctx.p, q))
     return verdicts[key]
 

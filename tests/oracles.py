@@ -276,7 +276,7 @@ def s_q_terms_oracle(p: int, q: int, alpha: int) -> tuple:
     tried, with two ``lucas_binom`` calls each."""
     order = q * q - 1
     terms = []
-    for l in interval_census(q, alpha).multiples:
+    for l in interval_census(q, alpha):
         num = alpha + 1 + l * (q + 1)
         if num % 3:
             continue  # no (i, j) pair can satisfy the congruence

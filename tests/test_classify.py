@@ -366,7 +366,10 @@ class TestClassSweep:
         for q, reps in result.classes.items():
             ctx = make_field(*classify._factor_prime_power(q))
             assert len(reps) * period(q) == q * q - 1
-            assert [v.a for v in reps] == [ctx._exp[key] for key in range(len(reps))]
+            # Every key holds the record of its orbit's least key, k -> p*k.
+            least = [min(key * ctx.p**i % len(reps) for i in range(2 * ctx.e))
+                     for key in range(len(reps))]
+            assert [v.a for v in reps] == [ctx._exp[key] for key in least]
 
     def test_verify_decides_once_per_class(self, monkeypatch, capsys):
         # 501 classes among the 6,135 pairs at q <= 32 fall into 286 Frobenius

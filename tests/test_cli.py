@@ -107,14 +107,19 @@ class TestOtherSubcommands:
     @pytest.mark.parametrize("a, is_pp", [("3", True), ("2", False), ("1", False)],
                              ids=["pp", "nonzero-sum", "nonzero-root"])
     def test_hermite_profile_sums_each_alpha_once(self, capsys, monkeypatch, a, is_pp):
-        # The verdict is read off the printed sums and root test, with no
-        # second pass over S_q; q = 8, and a = 1 has a nonzero root.
+        # The verdict comes from hermite_pp_test, which reads the term lists
+        # that the printed sums built: no S_q is summed twice and no list is
+        # built twice; q = 8, and a = 1 has a nonzero root.
         s_q, calls = hermite.s_q, []
         monkeypatch.setattr(hermite, "s_q",
                             lambda ctx, a, alpha: calls.append(alpha) or s_q(ctx, a, alpha))
+        terms, built = hermite._s_q_terms, []
+        monkeypatch.setattr(hermite, "_s_q_terms",
+                            lambda p, q, alpha: built.append(alpha) or terms(p, q, alpha))
+        hermite._field_table.cache_clear()
         code, out, _ = invoke(capsys, "hermite-profile", "--q", "2^3", "--a", a, "--json")
         results = json.loads(out)["results"]
-        assert code == EXIT_OK and calls == list(range(8))
+        assert code == EXIT_OK and calls == list(range(8)) == built
         assert results["is_pp"] is is_pp and results["only_root_zero"] is (a != "1")
 
     def test_resultant_factored(self, capsys):
@@ -462,7 +467,7 @@ class TestContract:
     def test_records_are_read_only(self):
         report = classify.elimination_pipeline()
         for record, name in [(symalg.g_poly(2), "g"), (symalg.factor_trial(12), "n"),
-                             (hermite.interval_census(8, 2), "q"),
+                             (hermite.interval_census(8, 2), "start"),
                              (classify.SPORADIC_TABLE[0], "q"), (report.chains[2], "p"),
                              (report, "resultant")]:
             with pytest.raises(AttributeError):

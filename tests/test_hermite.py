@@ -170,7 +170,8 @@ class TestSqTermCache:
 
     def test_preconditions(self, fields):
         ctx = fields(5, 1)
-        _s_q_terms(5, 5, 0)  # warm the cache for this field
+        for alpha in range(ctx.q):  # fill every slot: -1 must not read slot q-1
+            s_q(ctx, 1, alpha)
         with pytest.raises(PreconditionViolated):
             s_q(ctx, 0, 0)
         for alpha in (-1, ctx.q, ctx.q + 3):
@@ -197,7 +198,7 @@ class TestSqTermsFromLucasDigits:
     def test_matches_range_scan(self, q):
         p = smallest_prime_factor(q)
         for alpha in range(q):
-            assert _s_q_terms.__wrapped__(p, q, alpha) == s_q_terms_oracle(p, q, alpha), (q, alpha)
+            assert _s_q_terms(p, q, alpha) == s_q_terms_oracle(p, q, alpha), (q, alpha)
 
     @pytest.mark.parametrize("p, e", [(2, 7), (5, 3), (127, 1)])
     def test_no_lucas_binom_calls(self, monkeypatch, p, e):
@@ -209,7 +210,7 @@ class TestSqTermsFromLucasDigits:
                             lambda *args: calls.append(args) or lucas_binom(*args), raising=False)
         q = p**e
         for alpha in range(q):
-            _s_q_terms.__wrapped__(p, q, alpha)
+            _s_q_terms(p, q, alpha)
         assert calls == []
 
     @pytest.mark.parametrize("q", [251, 1021])
@@ -221,13 +222,13 @@ class TestSqTermsFromLucasDigits:
         for alpha in random.Random(q).sample(range(q), 20):
             comp = q - 1 - alpha
             pairs = []
-            for l in interval_census(q, alpha).multiples:
+            for l in interval_census(q, alpha):
                 num = alpha + 1 + l * (q + 1)
                 if num % 3 == 0:
                     d = num // 3
                     pairs += [(i, i - d) for i in range(max(0, d), min(alpha, comp + d) + 1)]
             found = []
-            for c, k in _s_q_terms.__wrapped__(q, q, alpha):
+            for c, k in _s_q_terms(q, q, alpha):
                 j, i = divmod(-k % order, q)
                 assert c == math.comb(alpha, i) * math.comb(comp, j) % q != 0, (q, alpha, i)
                 found.append((i, j))
@@ -236,7 +237,7 @@ class TestSqTermsFromLucasDigits:
     def test_largest_prime_field_matches_range_scan(self):
         q = 4093  # the largest prime q with q^2 within the size bound
         for alpha in random.Random(q).sample(range(q), 3):
-            assert _s_q_terms.__wrapped__(q, q, alpha) == s_q_terms_oracle(q, q, alpha), alpha
+            assert _s_q_terms(q, q, alpha) == s_q_terms_oracle(q, q, alpha), alpha
 
 
 def cube_class(ctx):
@@ -247,42 +248,61 @@ def cube_class(ctx):
 
 @pytest.fixture
 def cold_walk():
-    """Empties the walk cache before and after the test."""
-    hermite._nonempty_terms.cache_clear()
+    """Empties the table of term lists and verdicts before and after the test."""
+    hermite._field_table.cache_clear()
     yield
-    hermite._nonempty_terms.cache_clear()
+    hermite._field_table.cache_clear()
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The (p, q, alpha) of every term list built while the test runs."""
+    calls, real = [], hermite._s_q_terms
+    monkeypatch.setattr(hermite, "_s_q_terms",
+                        lambda p, q, alpha: calls.append((p, q, alpha)) or real(p, q, alpha))
+    return calls
 
 
 class TestLazyWalk:
-    """hermite_pp_test reads the nonempty term lists of (p, q) from one lazily
-    extended sequence: it builds lists only as far as a caller has read."""
+    """s_q and hermite_pp_test read the term lists of (p, q) from one table,
+    a slot per alpha, built only as far as a caller has read; the table
+    holds one field."""
 
-    def test_cube_class_builds_only_up_to_first_nonzero_sum(self, fields, monkeypatch, cold_walk):
+    def test_cube_class_builds_only_up_to_first_nonzero_sum(self, fields, cold_walk, built):
         ctx = fields(5, 3)
         first, second = cube_class(ctx)[:2]
         # Every sum below alpha = (q-1)/2 = 62 vanishes, and S_q(62, a) does not.
         assert [s_q(ctx, first, alpha) != 0 for alpha in range(63)] == [False] * 62 + [True]
-        built = []
-        real = hermite._s_q_terms.__wrapped__
-        monkeypatch.setattr(hermite._s_q_terms, "__wrapped__",
-                            lambda p, q, alpha: built.append((p, q, alpha)) or real(p, q, alpha))
+        hermite._field_table.cache_clear()
+        built.clear()
         assert not hermite_pp_test(ctx, first)
         assert built == [(5, 125, alpha) for alpha in range(63)]
         built.clear()
         assert not hermite_pp_test(ctx, second)
         assert built == []
 
-    def test_walk_bypasses_the_term_cache(self, fields, cold_walk):
-        # The walk holds its field's lists itself; the lru cache serves s_q
-        # alone, so a sweep keeps no list of a field it has left.
-        hermite._s_q_terms.cache_clear()
-        ctx = fields(2, 3)
-        assert any(hermite_pp_test(ctx, a) for a in ctx.units())
-        assert hermite._s_q_terms.cache_info().currsize == 0
-        s_q(ctx, 1, 0)
-        assert hermite._s_q_terms.cache_info().currsize == 1
+    def test_walk_reuses_the_lists_s_q_built(self, fields, cold_walk, built):
+        ctx = fields(5, 3)
+        for alpha in range(ctx.q):
+            s_q(ctx, 1, alpha)
+        assert len(built) == ctx.q
+        built.clear()
+        assert [hermite_pp_test(ctx, a) for a in cube_class(ctx)[:3]] == [False] * 3
+        assert built == []
 
-    def test_alternating_fields_match_fresh_processes(self, fields, cold_walk):
+    def test_walk_bypasses_the_term_cache(self, fields, cold_walk, built):
+        # The table holds one field, so a sweep keeps no list of a field it
+        # has left: coming back builds its lists again.
+        ctx, other = fields(2, 3), fields(5, 1)
+        pp = next(a for a in ctx.units() if hermite_pp_test(ctx, a))  # walks every alpha
+        assert any(hermite_pp_test(other, a) for a in other.units())
+        built.clear()
+        s_q(ctx, 1, 0)
+        assert hermite_pp_test(ctx, pp)
+        assert built == [(2, 8, alpha) for alpha in range(8)]
+        assert hermite._field_table.cache_info().currsize == 1
+
+    def test_alternating_fields_match_fresh_processes(self, fields, cold_walk, built):
         ctxs = [fields(2, 5), fields(5, 2)]
         code = ("import sys\nfrom permbinom.ffield import make_field\n"
                 "from permbinom.hermite import hermite_pp_test\n"
@@ -300,28 +320,35 @@ class TestLazyWalk:
                     out.append("1" if hermite_pp_test(ctx, a) else "0")
         assert ["".join(v) for v in verdicts] == fresh
         assert "1" in fresh[0]  # the 2^5 family; 5^2 has no PP
+        # Each field's lists were built again after every visit to the other.
+        switches = sum(x[:2] != y[:2] for x, y in zip(built, built[1:]))
+        assert {b[:2] for b in built} == {(2, 32), (5, 25)} and switches > 2
 
-    def test_walk_cut_by_an_exception_is_rebuilt(self, fields, monkeypatch, cold_walk):
-        # An exception out of the walk's generator ends it for good; left in
-        # the cache, it would end every later walk at alpha = 30, and the
-        # cube class of 5^3, first decided at alpha = 62, would read as PPs.
+    def test_walk_cut_by_an_exception_is_rebuilt(self, fields, monkeypatch, cold_walk, built):
+        # A build cut at alpha = 30 must leave that slot unbuilt and store no
+        # verdict; a stored verdict or an empty slot would end later walks
+        # early, and the cube class of 5^3, first decided at alpha = 62,
+        # would read as PPs.
         ctx = fields(5, 3)
         members = cube_class(ctx)
-        real = hermite._s_q_terms.__wrapped__
+        spy = hermite._s_q_terms
 
         def interrupted(p, q, alpha):
             if alpha == 30:
                 raise KeyboardInterrupt
-            return real(p, q, alpha)
+            return spy(p, q, alpha)
 
-        monkeypatch.setattr(hermite._s_q_terms, "__wrapped__", interrupted)
-        verdicts = hermite._nonempty_terms(5, 125)[2]
+        monkeypatch.setattr(hermite, "_s_q_terms", interrupted)
+        slots, verdicts = hermite._field_table(5, 125)
         with pytest.raises(KeyboardInterrupt):
             hermite_pp_test(ctx, members[0])
         # The interrupted call stored no verdict, in the memo it read or after.
-        assert verdicts == {} and hermite._nonempty_terms(5, 125)[2] == {}
-        monkeypatch.setattr(hermite._s_q_terms, "__wrapped__", real)
+        assert verdicts == {} and hermite._field_table(5, 125)[1] == {}
+        assert slots[30] is None and None not in slots[:30]
+        monkeypatch.setattr(hermite, "_s_q_terms", spy)
+        built.clear()
         assert not any(hermite_pp_test(ctx, a) for a in members)
+        assert built == [(5, 125, alpha) for alpha in range(30, 63)]
         assert not any(brute_pp_test(ctx, a) for a in members)
 
 
@@ -344,13 +371,13 @@ class TestClassMemo:
 
     @staticmethod
     def assert_warm_matches_cold_and_brute(ctx, units):
-        hermite._nonempty_terms.cache_clear()
+        hermite._field_table.cache_clear()
         warm = [hermite_pp_test(ctx, a) for a in units]
         classes = (ctx.q - 1) * math.gcd(3, ctx.q + 1)
-        assert len(hermite._nonempty_terms(ctx.p, ctx.q)[2]) == len(
+        assert len(hermite._field_table(ctx.p, ctx.q)[1]) == len(
             {ctx._log[a] % classes for a in units})
         for a, verdict in zip(units, warm):
-            hermite._nonempty_terms.cache_clear()
+            hermite._field_table.cache_clear()
             assert verdict == hermite_pp_test(ctx, a) == brute_pp_test(ctx, a), (ctx.q, a)
 
     @pytest.mark.parametrize("q", prime_powers(64))
@@ -440,19 +467,20 @@ class TestHermiteKernel:
 
 class TestIntervalCensus:
     def test_q5_midpoint_has_two(self):
-        c = interval_census(5, 2)
-        assert c.multiples == (-1, 0) and c.count == 2
+        assert tuple(interval_census(5, 2)) == (-1, 0)
 
     def test_q8_alpha2(self):
-        assert interval_census(8, 2).multiples == (-2, -1, 0)
+        assert tuple(interval_census(8, 2)) == (-2, -1, 0)
 
     def test_q11_alpha8(self):
-        assert interval_census(11, 8).count == 3
+        assert len(interval_census(11, 8)) == 3
 
     def test_stated_versus_working_upper_end(self):
-        c = interval_census(8, 2)
-        # the displayed upper end is alpha - 1 = 1; the working one is 3
-        assert (c.lo, c.hi_working) == (-18, 3) and c.hi_working != c.alpha - 1
+        # At q = 8, alpha = 5, l = 1 gives l*(q+1) = 9: inside the working
+        # upper end 2*alpha - 1 = 9, outside the displayed alpha - 1 = 4.
+        q, alpha = 8, 5
+        assert tuple(interval_census(q, alpha)) == (-1, 0, 1)
+        assert alpha - 1 < 1 * (q + 1) <= 2 * alpha - 1
 
     def test_dichotomy_up_to_64(self):
         for q in (2, 5, 8, 11, 17, 23, 29, 32, 41, 47, 53, 59):
@@ -463,9 +491,9 @@ class TestIntervalCensus:
                     continue
                 c = interval_census(q, alpha)
                 if q % 2 and alpha == (q - 1) // 2:
-                    assert c.count == 2
+                    assert len(c) == 2
                 else:
-                    assert c.count == 3
+                    assert len(c) == 3
 
 
 def first_repeats(ctx, a):
