@@ -15,7 +15,7 @@ import math
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from permbinom.ffield import FieldCtx, SizeExceeded, is_primitive_cube_root, make_field
-from permbinom.hermite import brute_pp_test, hermite_pp_test
+from permbinom.hermite import brute_pp_test, hermite_pp_test, period
 from permbinom.symalg import (
     FactorResult,
     _sieve,
@@ -45,23 +45,22 @@ class FixtureMismatch(AssertionError):
 
 
 class SporadicSpec(NamedTuple):
-    """One sporadic family: a^exponent must be a root of every listed factor's
-    product (factors are little-endian integer polynomials over the prime
-    field, evaluated inside F_{q^2} since the power may land outside F_q)."""
+    """One sporadic family: a^P, P = ``period(q)``, is a root of a factor, a
+    little-endian integer polynomial read in F_{q^2} (a^P may lie outside F_q)."""
 
     q: int
-    exponent: int
     factors: Tuple[Tuple[int, ...], ...]
 
 
-SPORADIC_TABLE: Tuple[SporadicSpec, ...] = (  # (q, exponent, factors)
-    SporadicSpec(5, 2, ((1, 1), (2, 1), (-2, 1), (1, -1, 1))),
-    SporadicSpec(8, 3, ((1, 0, 1, 1),)),
-    SporadicSpec(11, 4, ((-5, 1), (2, 1), (1, -1, 1))),
-    SporadicSpec(17, 6, ((-4, 1), (-5, 1))),
-    SporadicSpec(23, 8, ((1, 1),)),
-    SporadicSpec(29, 10, ((3, 1),)),
+SPORADIC_TABLE: Tuple[SporadicSpec, ...] = (  # (q, factors)
+    SporadicSpec(5, ((1, 1), (2, 1), (-2, 1), (1, -1, 1))),
+    SporadicSpec(8, ((1, 0, 1, 1),)),
+    SporadicSpec(11, ((-5, 1), (2, 1), (1, -1, 1))),
+    SporadicSpec(17, ((-4, 1), (-5, 1))),
+    SporadicSpec(23, ((1, 1),)),
+    SporadicSpec(29, ((3, 1),)),
 )
+_SPORADIC_FACTORS = {row.q: row.factors for row in SPORADIC_TABLE}
 
 CENSUS_TARGETS = (2, 5, 8, 11, 17, 23, 29, 32)
 
@@ -75,19 +74,16 @@ def _eval_int_poly(ctx: FieldCtx, f: Sequence[int], x: int) -> int:
 
 def theorem_predicate(ctx: FieldCtx, a: int) -> bool:
     """The classification predicate: True iff (q, a) is in the infinite
-    family or matches a sporadic row."""
+    family or matches a sporadic row; both read a^P, P = ``period(q)``."""
     if a == 0:
         raise ValueError("a must be nonzero")
-    q = ctx.q
-    if ctx.p == 2 and ctx.e % 2 == 1:
-        if is_primitive_cube_root(ctx, ctx.pow(a, (q + 1) // 3)):
-            return True
-    for row in SPORADIC_TABLE:
-        if row.q == q:
-            power = ctx.pow(a, row.exponent)
-            if any(_eval_int_poly(ctx, f, power) == 0 for f in row.factors):
-                return True
-    return False
+    family = ctx.p == 2 and ctx.e % 2 == 1
+    factors = _SPORADIC_FACTORS.get(ctx.q, ())
+    if not (family or factors):
+        return False
+    power = ctx.pow(a, period(ctx.q))
+    return family and is_primitive_cube_root(ctx, power) or any(
+        _eval_int_poly(ctx, f, power) == 0 for f in factors)
 
 
 def sporadic_census(q: int) -> List[int]:
@@ -232,7 +228,7 @@ class SweepResult(NamedTuple):
     """The verdicts of a sweep, one per class of a (see ``sweep``):
     ``classes[q][key]`` holds the verdicts of the least key of its Frobenius
     orbit, decided on g^(least key), which stand for every a with
-    log a = key mod (q-1)*gcd(3, q+1).  ``disagreements`` lists every
+    log a = key mod (q^2-1) / ``period(q)``.  ``disagreements`` lists every
     member of a class that disagrees, ascending in (q, a)."""
 
     q_max: int
@@ -271,8 +267,10 @@ def _factor_prime_power(q: int) -> Tuple[int, int]:
 def classify(ctx: FieldCtx, a: int, method: str) -> PPVerdict:
     """The verdicts of the requested deciders and of the predicate on (q, a);
     a decider that ``method`` leaves out reads None."""
-    brute = brute_pp_test(ctx, a) if method in ("brute", "both") else None
-    herm = hermite_pp_test(ctx, a) if method in ("hermite", "both") else None
+    if method not in ("brute", "hermite", "both"):
+        raise ValueError(f"unknown method {method!r}")
+    brute = brute_pp_test(ctx, a) if method != "hermite" else None
+    herm = hermite_pp_test(ctx, a) if method != "brute" else None
     return PPVerdict(ctx.q, ctx.p, ctx.e, a, brute, herm, theorem_predicate(ctx, a))
 
 
@@ -285,45 +283,39 @@ def sweep(q_max: int = DEFAULT_Q_MAX, method: str = "both") -> SweepResult:
     for every prime power q <= q_max and every nonzero a in F_{q^2}, decided
     once per Frobenius orbit of classes of a.
 
-    Classes.  f_a(lx) = l^(3q-2) * f_b(x) with b = a * l^(3-3q), so f_a and
-    f_b permute together (the x*h(x^(q-1)) form of Zieve, IJNT 2009).  The
-    powers l^(3-3q) form the subgroup of index M = gcd(3(q-1), q^2-1) =
-    (q-1)*gcd(3, q+1), so the verdicts depend on a only through
-    key = log a mod M, a class of P = (q+1)/gcd(3, q+1) elements.  So does
-    the predicate: it reads a only through a^P, since every sporadic
-    exponent and the family's (q+1)/3 equal P.  Each class counts P times.
+    Classes.  By the scaling lemma (``period``), PP status and the predicate,
+    which reads a^P, depend on a only through key = log a mod M = (q^2-1)/P,
+    P = ``period(q)``.  Each class counts P times.
 
-    Orbits.  f_{a^p}(x^p) = f_a(x)^p, and x -> x^p permutes F_{q^2}, so f_a
-    and f_{a^p} permute together.  So does the predicate: p-th powers keep a
-    primitive cube root of unity primitive (p != 3 where 3 | q+1), and a
-    sporadic factor, with coefficients in the prime field, vanishes at y^p
-    iff it vanishes at y.  As M divides q^2 - 1, a -> a^p maps key to
-    p*key mod M, a permutation since p is prime to M.  Keys are walked in
-    ascending order; the deciders and the predicate run on g^key for the
-    least key of each orbit, and every key k of that orbit (k -> p*k mod M)
-    holds that same record.  At q <= 32 that is 286 decisions for
-    501 classes, at 128 2,834 for 4,613, at 512 35,462 for 50,791.
+    Frobenius orbits.  f_{a^p}(x^p) = f_a(x)^p, and x -> x^p permutes F_{q^2},
+    so f_a and f_{a^p} permute together.  So does the predicate: p-th powers
+    keep a primitive cube root of unity primitive (p != 3 where 3 | q+1), and a
+    sporadic factor, with coefficients in the prime field, vanishes at y^p iff
+    it vanishes at y.  As M divides q^2 - 1, a -> a^p maps key to p*key mod M,
+    a permutation since p is prime to M.  Keys are walked in ascending order;
+    the deciders and the predicate run on g^key for the least key of each
+    orbit, and every key of that orbit holds that same record.  At q <= 32 that
+    is 286 decisions for 501 classes, at 128 2,834 for 4,613, at 512 35,462 for
+    50,791.
 
     Includes q with 3 not dividing q+1 and q = 3^e, where no permutation is
     expected.  Output order is canonical: ascending q, then key or a.
     """
-    if method not in ("brute", "hermite", "both"):
-        raise ValueError(f"unknown method {method!r}")
     if q_max < 2:
         raise ValueError(f"q_max = {q_max} admits no prime power")
     if q_max > BRUTE_HARD_CAP:
         raise SizeExceeded(f"q_max = {q_max} exceeds the hard cap {BRUTE_HARD_CAP}")
     classes, counts, disagreements = {}, {}, []
     for q in prime_powers(q_max):
-        ctx, d = make_field(*_factor_prime_power(q)), math.gcd(3, q + 1)
-        reps = classes[q] = [None] * ((q - 1) * d)
+        ctx = make_field(*_factor_prime_power(q))
+        reps = classes[q] = [None] * ((q * q - 1) // period(q))
         for key, v in enumerate(reps):  # v is read after every smaller key's orbit is filled
             if v is None:  # the least key of its orbit: decide it, then fill the orbit
                 v, k = classify(ctx, ctx._exp[key], method), key
                 while reps[k] is None:
                     reps[k] = v
                     k = k * ctx.p % len(reps)
-        counts[q] = (q + 1) // d * sum(v.predicted for v in reps)
+        counts[q] = period(q) * sum(v.predicted for v in reps)
         if not all(v.agree for v in reps):  # only then is each a visited
             disagreements += (v for v in _members(ctx, reps) if not v.agree)
     return SweepResult(q_max, method, classes, counts, disagreements,

@@ -6,20 +6,17 @@ is known:
 
 - ``brute_pp_test``: the ground truth, which uses no permutation
   criterion.  It scans the first period of points in the log domain, one
-  Zech lookup each; its docstring proves that this accounts for every
-  point.
+  Zech lookup each (the period-of-the-scan lemma).
 - ``hermite_pp_test``: the reduced power-sum criterion.  The map permutes
   F_{q^2} iff 0 is its only root and S_q(alpha, a) = 0 for all
-  0 <= alpha <= q-1; only the exponents s = alpha + (q-1-alpha)q need
-  checking because all other power sums vanish identically.  The root
-  test is the closed form of ``has_nonzero_root`` (Zieve's x*h(x^(q-1))
-  form), and each S_q is summed in the log domain by the kernel that
-  ``s_q`` also uses, over the term list that ``_s_q_terms`` builds digit
-  by digit (the no-carry lemma).  The verdict is decided once per class
-  of log a mod (q-1)*gcd(3, q+1) and then read from a memo.
+  0 <= alpha <= q-1, as only the power sums of s = alpha + (q-1-alpha)q
+  can be nonzero.  Each S_q is summed in the log domain by the kernel of
+  ``s_q``, over the list that ``_s_q_terms`` builds (the no-carry lemma).
 
-One cache, ``_field_table``, holds the current field's term lists, a slot
-per alpha, and those verdicts; ``s_q`` and the decider share its slots.
+Both, and the root test ``has_nonzero_root``, read a only through its class
+log a mod (q^2-1)/P, P = ``period(q)`` (the scaling lemma).  One cache,
+``_field_table``, holds the current field's term lists, a slot per alpha,
+and the Hermite verdicts by class.
 """
 
 from __future__ import annotations
@@ -35,26 +32,18 @@ class PreconditionViolated(ValueError):
     """Raised when an operation's hypothesis on (q, a) does not hold."""
 
 
-class BinomialMap:
-    """The map x -> a*x + x^(3q-2) with a != 0; 0 maps to 0."""
+@functools.lru_cache(maxsize=None)  # read on every decider call; one int per q
+def period(q: int) -> int:
+    """P = (q+1)/gcd(3, q+1), the size of a class of a.
 
-    __slots__ = ("ctx", "a")
-
-    def __init__(self, ctx: FieldCtx, a: int):
-        if a == 0:
-            raise PreconditionViolated("a must be nonzero")
-        self.ctx = ctx
-        self.a = a
-
-    @property
-    def exponent(self) -> int:
-        return 3 * self.ctx.q - 2
-
-    def __call__(self, x: int) -> int:
-        # Evaluated literally via pow; no symbolic reduction, so the ground
-        # truth cannot inherit a simplification under test.
-        ctx = self.ctx
-        return ctx.add(ctx.mul(self.a, x), ctx.pow(x, self.exponent))
+    Scaling lemma.  f_a(lx) = l^(3q-2) * f_b(x) with b = a * l^(3-3q), for
+    f_a(x) = a*x + x^(3q-2), and x -> lx permutes F_{q^2}, so f_a and f_b
+    permute together (the first step of Zieve's x*h(x^(q-1)) form, IJNT
+    2009).  The powers l^(3-3q) form the subgroup of index
+    M = gcd(3(q-1), q^2-1) = (q-1)*gcd(3, q+1) = (q^2-1)/P, so PP status
+    depends on a only through its class, key = log a mod M, of P elements.
+    """
+    return (q + 1) // math.gcd(3, q + 1)
 
 
 def interval_census(q: int, alpha: int) -> range:
@@ -181,17 +170,16 @@ def s_q(ctx: FieldCtx, a: int, alpha: int) -> int:
 def has_nonzero_root(ctx: FieldCtx, a: int) -> bool:
     """True iff a*x + x^(3q-2) vanishes at some x != 0.
 
-    Closed form: (-a)^((q+1)/gcd(3, q+1)) = 1.  For x != 0 the map is
+    Closed form: (-a)^P = 1, P = ``period(q)``.  For x != 0 the map is
     x*(a + y^3) with y = x^(q-1), and x -> x^(q-1) sends F_{q^2}^* onto the
-    cyclic group mu_{q+1} (the x*h(x^(q-1)) form of Zieve, IJNT 2009).  So a
-    nonzero root exists iff -a is the cube of some y in mu_{q+1}.  Those
-    cubes are the subgroup of order (q+1)/gcd(3, q+1), and a cyclic group
-    has one subgroup of each order: the elements z with z^((q+1)/gcd) = 1.
-    That exponent is even when q is odd, and -1 = 1 when q is even, so -a
-    may be replaced by a, and the test is one product of log a.
+    cyclic group mu_{q+1} (Zieve's form, see ``period``).  So a nonzero root
+    exists iff -a is the cube of some y in mu_{q+1}.  Those cubes are the
+    subgroup of order P, and a cyclic group has one subgroup of each order:
+    the elements z with z^P = 1.  P is even when q is odd, and -1 = 1 when
+    q is even, so -a may be replaced by a, and the test is one product of
+    log a: P * log a = 0 mod q^2-1, that is, a's class is 0.
     """
-    q = ctx.q
-    return ctx._log[a] * ((q + 1) // math.gcd(3, q + 1)) % (ctx.q2 - 1) == 0
+    return ctx._log[a] * period(ctx.q) % (ctx.q2 - 1) == 0
 
 
 def brute_pp_test(ctx: FieldCtx, a: int) -> bool:
@@ -202,14 +190,13 @@ def brute_pp_test(ctx: FieldCtx, a: int) -> bool:
     la + k + Zech(z_k), and f(x) = 0 where Zech(z_k) is undefined.  As
     f(0) = 0, the map permutes F_{q^2} iff no nonzero x maps to 0 and the
     m = q^2 - 1 image logs are distinct mod m.  Both are decided from the
-    first P = (q+1)/gcd(3, q+1) points, with no permutation criterion:
+    first P = ``period(q)`` points, with no permutation criterion:
 
-    1. Period.  (3q-3)P = 3m/gcd(3, q+1) is a multiple of m, so z_k has
-       period P (the first step of Zieve's x*h(x^(q-1)) form, IJNT 2009):
-       f(g^(k+P)) = 0 iff f(g^k) = 0, and log f(g^(k+P)) = log f(g^k) + P
-       mod m.  So any nonzero root shows up among k = 0, ..., P-1, and
-       block j, the image logs of k = jP, ..., jP+P-1, is block 0 shifted
-       by jP mod m.
+    1. Period of the scan.  (3q-3)P = 3m/gcd(3, q+1) is a multiple of m, so
+       z_k has period P: f(g^(k+P)) = 0 iff f(g^k) = 0, and
+       log f(g^(k+P)) = log f(g^k) + P mod m.  So any nonzero root shows up
+       among k = 0, ..., P-1, and block j, the image logs of
+       k = jP, ..., jP+P-1, is block 0 shifted by jP mod m.
     2. Cosets.  P divides q+1, which divides m, so the shifts jP of one log
        v, j = 0, ..., m/P - 1, are exactly its coset v + PZ mod m, m/P
        logs.  Two cosets are equal or disjoint.  If the P first-period logs
@@ -228,14 +215,13 @@ def brute_pp_test(ctx: FieldCtx, a: int) -> bool:
     if a == 0:
         raise PreconditionViolated("a must be nonzero")
     q, zech, m, la = ctx.q, ctx._zech, ctx.q2 - 1, ctx._log[a]
-    period = (q + 1) // math.gcd(3, q + 1)
-    step, z = 3 * q - 3, -la % m
-    seen = bytearray(period)
-    for t in range(la, la + period):  # the log of a*x, unreduced
+    step, z, n = 3 * q - 3, -la % m, period(q)
+    seen = bytearray(n)
+    for t in range(la, la + n):  # the log of a*x, unreduced
         s = zech[z]
         if s < 0:
             return False
-        r = (t + s) % period
+        r = (t + s) % n
         if seen[r]:
             return False
         seen[r] = 1
@@ -248,29 +234,27 @@ def brute_pp_test(ctx: FieldCtx, a: int) -> bool:
 def hermite_pp_test(ctx: FieldCtx, a: int) -> bool:
     """Reduced power-sum permutation test, decided once per class.
 
-    The only-root-zero condition is the closed form of ``has_nonzero_root``
-    for every q.  No case is assumed impossible a priori: for 3 not dividing
-    q+1 the sums are still computed whenever 0 is the only root, so the
-    divisibility necessity is observed, not hard-coded.  The sums run in
-    alpha order through ``_log_sum`` over the nonempty slots of
-    ``_field_table``, built only as far as the first nonzero sum, which
-    decides.
+    0 is the only root iff key != 0, for key = log a mod (q^2-1)/P (the
+    closed form of ``has_nonzero_root``).  No case is assumed impossible a
+    priori: for 3 not dividing q+1 the sums are still computed whenever 0
+    is the only root, so the divisibility necessity is observed, not
+    hard-coded.  The sums run in alpha order through ``_log_sum`` over the
+    nonempty slots of ``_field_table``, built only as far as the first
+    nonzero sum, which decides.
 
     Classes.  A term has i - j = d, 3d = alpha+1 + l(q+1) and k = -i(q+1) + dq
     = -d mod q+1, so d = (alpha+1)/3 mod P if 3 | q+1, else d = (alpha+1)*3^-1
     mod P = q+1: all k of one list are -d mod P, and S_q(alpha, a) is a^k times
-    a sum in a^P, fixed by key = log a mod m/P = (q-1)*gcd(3, q+1), as is the
-    root test (P*log a = 0 mod m iff key = 0).  The first a of a class is
-    decided, its verdict stored once complete, and every later a reads it.
+    a sum in a^P, fixed by the key.  The first a of a class is decided, its
+    verdict stored once complete, and every later a reads it.
     """
     if a == 0:
         raise PreconditionViolated("a must be nonzero")
     log, zech, m, q = ctx._log, ctx._zech, ctx.q2 - 1, ctx.q
     la = log[a]
     slots, verdicts = _field_table(ctx.p, q)
-    key = la % ((q - 1) * math.gcd(3, q + 1))
+    key = la % (m // period(q))
     if key not in verdicts:
-        verdicts[key] = not has_nonzero_root(ctx, a) and all(
+        verdicts[key] = key != 0 and all(
             _log_sum(terms, la, log, zech, m) < 0 for terms in _nonempty(slots, ctx.p, q))
     return verdicts[key]
-

@@ -1,19 +1,18 @@
 """Slow reference computations that only the tests use: the encoding of a
 coefficient vector, addition and negation digit by digit, multiplication of
 coefficient polynomials modulo the field's modulus, the generator's powers
-by Horner's rule on its digits, the reducible monic polynomials over F_p
-as every product of two monic factors, the point-by-point brute-force scan
-of the binomial map, its literal power sums, the Lemma 3.1 power-sum
-profile, the partition of the units by a^((q+1)/3), the sweep with every
-(q, a) decided on its own, the copy of F_q inside F_{q^2},
-S_q(alpha, a) with its terms rebuilt on every call and added by
-``FieldCtx.add``, C(m, k) mod p as Lucas's product of digit binomials,
-exact integer polynomial evaluation, the bracket
-polynomial and g_alpha in Fractions with a long division over Q, and the
-resultant by the fraction-free subresultant sequence with a
-pseudo-remainder and a division per coefficient.  Each is a direct
-computation, kept apart from the library so that it checks the library
-independently."""
+by Horner's rule on its digits, the reducible monic polynomials over F_p as
+every product of two monic factors, the binomial map evaluated literally
+(``BinomialMap``), its point-by-point brute-force scan, its literal power
+sums, the Lemma 3.1 power-sum profile, the partition of the units by
+a^((q+1)/3), the sweep with every (q, a) decided on its own, the copy of
+F_q inside F_{q^2}, S_q(alpha, a) with its terms rebuilt on every call and
+added by ``FieldCtx.add``, C(m, k) mod p as Lucas's product of digit
+binomials, exact integer polynomial evaluation, the bracket polynomial and
+g_alpha in Fractions with a long division over Q, and the resultant by the
+fraction-free subresultant sequence with a pseudo-remainder and a division
+per coefficient.  Each is a direct computation, kept apart from the library
+so that it checks the library independently."""
 
 import itertools
 import math
@@ -24,8 +23,30 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 
 from permbinom.classify import PPVerdict, _factor_prime_power, classify, prime_powers
 from permbinom.ffield import FieldCtx, is_primitive_cube_root, make_field
-from permbinom.hermite import BinomialMap, PreconditionViolated, interval_census
+from permbinom.hermite import PreconditionViolated, interval_census
 from permbinom.symalg import NotDivisible, fp_mod, fp_trim, poly_degree, poly_mul
+
+
+class BinomialMap:
+    """The map x -> a*x + x^(3q-2) with a != 0; 0 maps to 0."""
+
+    __slots__ = ("ctx", "a")
+
+    def __init__(self, ctx: FieldCtx, a: int):
+        if a == 0:
+            raise PreconditionViolated("a must be nonzero")
+        self.ctx = ctx
+        self.a = a
+
+    @property
+    def exponent(self) -> int:
+        return 3 * self.ctx.q - 2
+
+    def __call__(self, x: int) -> int:
+        # Evaluated literally via pow; no symbolic reduction, so the ground
+        # truth cannot inherit a simplification under test.
+        ctx = self.ctx
+        return ctx.add(ctx.mul(self.a, x), ctx.pow(x, self.exponent))
 
 
 def oracle_add(ctx: FieldCtx, a: int, b: int) -> int:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from permbinom import classify, cli
+from permbinom import classify, cli, hermite
 from permbinom.classify import (
     CENSUS_TARGETS,
     SPORADIC_TABLE,
@@ -20,10 +20,10 @@ from permbinom.classify import (
     theorem_predicate,
 )
 from permbinom.ffield import FieldCtx, SizeExceeded, make_field
-from permbinom.hermite import BinomialMap, brute_pp_test, hermite_pp_test
+from permbinom.hermite import brute_pp_test, hermite_pp_test
 from permbinom.symalg import FactorResult, eval_mod_p, g_poly, gcd_mod_p, roots_mod_p
 
-from oracles import coset_classes, sweep_per_pair
+from oracles import BinomialMap, coset_classes, sweep_per_pair
 from printed_polynomials import G2, G5, G8, G11, G14
 
 EXPECTED_COUNTS = {2: 2, 5: 10, 8: 15, 11: 16, 17: 12, 23: 8, 29: 10, 32: 22}
@@ -252,6 +252,12 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(5, method="magic")
 
+    def test_classify_refuses_unknown_method(self, fields):
+        # classify reads the method names, so it refuses an unknown one
+        # rather than run no decider and report agreement.
+        with pytest.raises(ValueError, match="unknown method 'bogus'"):
+            classify.classify(fields(5, 1), 3, "bogus")
+
     def test_hard_cap(self):
         with pytest.raises(SizeExceeded):
             sweep(513)
@@ -295,9 +301,15 @@ class TestClassSweep:
     on its own."""
 
     def test_exponents_are_the_period(self):
-        # Every sporadic exponent, and the family's (q+1)/3 at q = 2^odd.
-        assert all(row.exponent == period(row.q) for row in SPORADIC_TABLE)
+        # The family's (q+1)/3 at q = 2^odd; the sporadic rows read a^P
+        # itself (test_predicate_reads_only_a_to_the_period).
         assert all((2**k + 1) // 3 == period(2**k) for k in range(1, 24, 2))
+
+    def test_period_is_the_index_of_the_scaling_subgroup(self):
+        # M = (q^2-1)/P is the index gcd(3(q-1), q^2-1) of {l^(3-3q)} in
+        # F_{q^2}^*, for every prime power q <= 4096.
+        for q in prime_powers(4096):
+            assert (q * q - 1) // hermite.period(q) == math.gcd(3 * (q - 1), q * q - 1), q
 
     @pytest.mark.parametrize("q", [2, 5, 8, 11, 17, 23, 29, 32])
     def test_predicate_reads_only_a_to_the_period(self, fields, monkeypatch, q):

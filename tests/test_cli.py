@@ -428,6 +428,21 @@ class TestContract:
         assert oracles.lucas_binom.__module__ == "oracles"
         assert not any(hasattr(m, "lucas_binom") for m in (symalg, ffield, hermite, classify, cli))
 
+    def test_one_home_for_the_period(self):
+        # gcd(3, .) is taken in hermite.period alone; every other reader of
+        # the class structure calls period.
+        homes = []
+        for path in sorted(Path(permbinom.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            calls = {node: None for node in ast.walk(tree) if isinstance(node, ast.Call)
+                     and ast.unparse(node.func).split(".")[-1] == "gcd"
+                     and [ast.unparse(arg) for arg in node.args[:1]] == ["3"]}
+            for func in ast.walk(tree):  # outer functions first, so the innermost names a call
+                if isinstance(func, ast.FunctionDef):
+                    calls.update((node, func.name) for node in ast.walk(func) if node in calls)
+            homes += [(path.stem, name) for name in calls.values()]
+        assert homes == [("hermite", "period")]
+
     def test_one_home_for_chains_and_number_text(self):
         # cli formats the table of classify.gcd_chain and names no chain step
         # itself; only cli bounds the number text that it converts.

@@ -12,7 +12,6 @@ from permbinom import hermite
 from permbinom.classify import prime_powers
 from permbinom.ffield import FieldCtx, is_primitive_cube_root, make_field
 from permbinom.hermite import (
-    BinomialMap,
     PreconditionViolated,
     _s_q_terms,
     brute_pp_test,
@@ -24,6 +23,7 @@ from permbinom.hermite import (
 
 from conftest import TABLE_FIELDS
 from oracles import (
+    BinomialMap,
     brute_scan_oracle,
     image_logs,
     lemma31_profile,
@@ -670,6 +670,15 @@ class TestRootCondition:
         ctx = ctx_for_q(fields, q)
         for a in ctx.units():
             assert has_nonzero_root(ctx, a) == (ctx.pow(a, (q + 1) // 3) == 1)
+
+    @pytest.mark.parametrize("q", PRIME_POWERS_32)
+    def test_root_iff_class_zero(self, fields, q):
+        # hermite_pp_test's root test is key != 0, key = log a mod M, with M
+        # the index gcd(3(q-1), q^2-1) of the scaling subgroup.
+        ctx = ctx_for_q(fields, q)
+        classes = math.gcd(3 * (q - 1), q * q - 1)
+        for a in ctx.units():
+            assert has_nonzero_root(ctx, a) == (ctx._log[a] % classes == 0), (q, a)
 
     @pytest.mark.parametrize("q", PRIME_POWERS_32)
     def test_closed_form_matches_cube_set(self, fields, q):
